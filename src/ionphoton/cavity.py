@@ -50,8 +50,6 @@ class RamanChannel:
 
 def effective_rabi(ch: RamanChannel) -> float:
     """Adiabatically eliminated two-photon rate Omega * h / delta, rad/s."""
-    if ch.detuning == 0:
-        raise DomainError("zero detuning")
     return ch.omega_laser * ch.g_cav / ch.detuning
 
 
@@ -62,7 +60,6 @@ class CavitySetup:
     channel_g: RamanChannel
     channel_e: RamanChannel
     kappa: float                 # rad/s, same for both cavity modes
-    radius: float | None = None  # m, only used for scaling studies
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -84,12 +81,11 @@ class CavitySetup:
 
 
 def symmetric_setup(
-    omega_laser: float, g_cav: float, detuning: float, kappa: float,
-    radius: float | None = None,
+    omega_laser: float, g_cav: float, detuning: float, kappa: float
 ) -> CavitySetup:
     """CavitySetup with identical g and e channels."""
     ch = RamanChannel(omega_laser, g_cav, detuning)
-    return CavitySetup(channel_g=ch, channel_e=ch, kappa=kappa, radius=radius)
+    return CavitySetup(channel_g=ch, channel_e=ch, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -164,12 +160,13 @@ def success_probability(omega_eff: float, kappa: float, tau: float) -> float:
 
     P = exp(-kappa tau) sin^2(omega' tau) (omega/omega')^2 with the
     hyperbolic continuation when omega' is imaginary.  The value lies in
-    [0, 1] by construction; asserted, never clamped.
+    [0, 1] by construction; checked, never clamped.
     """
     if tau < 0:
         raise DomainError("tau must be >= 0")
     p = abs(photon_amplitude(omega_eff, kappa, tau)) ** 2
-    assert -1e-12 <= p <= 1.0 + 1e-12, f"probability {p} out of range"
+    if not -1e-12 <= p <= 1.0 + 1e-12:
+        raise DomainError(f"probability {p} out of range")
     return float(p)
 
 
@@ -177,9 +174,8 @@ def optimal_emission_time(omega_eff: float, kappa: float) -> float:
     """Smallest positive maximizer of the success probability.
 
     Underdamped: tan(omega' tau) = 2 omega' / kappa, first branch.
-    Overdamped (kappa >= 2 omega): tanh(|omega'| tau) = 2 |omega'| / kappa.
-    Returns +inf if no finite maximizer exists (not reachable for
-    omega_eff > 0, kept as a guard).
+    Overdamped (kappa >= 2 omega): tanh(mu tau) = x with mu = |omega'| and
+    x = 2 mu / kappa < 1, so the maximizer is always finite.
     """
     if omega_eff <= 0:
         raise DomainError("omega_eff must be positive")
@@ -194,10 +190,10 @@ def optimal_emission_time(omega_eff: float, kappa: float) -> float:
     if disc == 0:
         return 2.0 / kappa
     mu = math.sqrt(-disc)
-    x = 2.0 * mu / kappa
-    if x >= 1.0:
-        return math.inf
-    return math.atanh(x) / mu
+    # atanh(x) = log1p(2x / (1 - x)) / 2, with 1 - x = 4 w^2 / (kappa (kappa + 2 mu))
+    # free of the cancellation that rounds x to 1 when omega_eff << kappa
+    one_minus_x = 4.0 * omega_eff**2 / (kappa * (kappa + 2.0 * mu))
+    return 0.5 * math.log1p(4.0 * mu / (kappa * one_minus_x)) / mu
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,7 @@ def fig2_sweep(
         w = effective_rabi(RamanChannel(omega_laser, g_cav, delta))
         for kappa in kappas:
             tau = optimal_emission_time(w, kappa)
-            p1 = success_probability(w, kappa, tau) if math.isfinite(tau) else 0.0
+            p1 = success_probability(w, kappa, tau)
             rows.append(
                 SweepPoint(
                     kappa=kappa, delta=delta, tau_star=tau,

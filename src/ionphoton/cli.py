@@ -118,12 +118,11 @@ def emission(config_path, preset, out_dir, seed, fmt):
         omega = setup.channel_g.omega_laser
         h = setup.channel_g.g_cav
         sweep = cavity.fig2_sweep(omega, h, deltas, kappas)
-        summary = []
-        for delta in deltas:
-            w = cavity.effective_rabi(cavity.RamanChannel(omega, h, delta))
-            tau = cavity.optimal_emission_time(w, setup.kappa)
-            p1 = cavity.success_probability(w, setup.kappa, tau)
-            summary.append([delta, w, setup.kappa, tau, p1, p1 * p1])
+        summary = [
+            [p.delta, cavity.effective_rabi(cavity.RamanChannel(omega, h, p.delta)),
+             p.kappa, p.tau_star, p.p_single, p.p_pair]
+            for p in cavity.fig2_sweep(omega, h, deltas, [setup.kappa])
+        ]
         bundle = reports.emission_bundle(sweep, summary, fmt)
         out = bundle.write(out_dir)
         click.echo(f"wrote {len(bundle.files) + 1} files to {out}")

@@ -12,6 +12,7 @@ one ``[crystal]`` section instead.
 
 import configparser
 import io
+import math
 
 import numpy as np
 
@@ -20,12 +21,12 @@ from .constants import ATOMIC_MASS, KRAD_S, MICRON, MRAD_S
 from .errors import ConfigError, DomainError
 
 _SPECIES_KEYS = {"mass_amu", "g_factor", "label"}
-_GRADIENT_KEYS = {"dbdz_t_per_m", "b0_t"}
+_GRADIENT_KEYS = {"dbdz_t_per_m"}
 _CASE_KEYS = {
     "n_ions", "d_um", "centers_um", "nu_mrad_s", "dbdz_t_per_m", "eta_laser",
     "ref_delta_um", "ref_h_um", "ref_eps_max", "ref_j12_khz", "ref_j13_khz",
 }  # plus nu_<k>_mrad_s, validated dynamically
-_CAVITY_KEYS = {"omega_mrad_s", "h_mrad_s", "delta_mrad_s", "kappa_mrad_s", "radius_um"}
+_CAVITY_KEYS = {"omega_mrad_s", "h_mrad_s", "delta_mrad_s", "kappa_mrad_s"}
 _SWEEP_KEYS = {"kappa_grid_mrad_s", "delta_list_mrad_s"}
 _PROTOCOL_KEYS = {"cnot_active_on", "t0_s", "t1_s", "collection_efficiency"}
 _RUN_KEYS = {"trials", "seed"}
@@ -38,7 +39,6 @@ Keys carry their unit as a suffix; internal computation is SI.
   *_Mrad_s    1e6 rad/s              -> rad/s  (x 1e6)
   *_kHz       reference couplings    -> rad/s  (x 1e3)
   *_T_per_m   tesla per metre        (already SI)
-  *_T         tesla                  (already SI)
   *_s         seconds                (already SI)
 Frequencies quoted as "MHz"/"KHz" in trap and coupling tables are angular
 rates: 1 MHz == 1e6 rad/s and 1 KHz == 1e3 rad/s.  This convention is what
@@ -70,9 +70,10 @@ class ConfigData:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+        return _finite([value], f"[{section}] {key}")[0]
 
     def get_int(self, section, key, default=None, required=False):
         raw = self.get(section, key, required=required)
@@ -82,6 +83,13 @@ class ConfigData:
             return int(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+
+
+def _finite(values: list[float], where: str) -> list[float]:
+    """Reject nan and +-inf, which would pass every range check below."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{where}: values must be finite")
+    return values
 
 
 def _validate_keys(parser: configparser.ConfigParser):
@@ -152,9 +160,8 @@ def _gradient_for(cfg: ConfigData, section: str) -> crystal.FieldGradient:
         dbdz = cfg.get_float("gradient", "dbdz_t_per_m")
     if dbdz is None:
         raise ConfigError(f"[{section}] needs dBdz_T_per_m (or a [gradient] default)")
-    b0 = cfg.get_float("gradient", "b0_t", default=0.0)
     try:
-        return crystal.FieldGradient(dBdz=dbdz, B0=b0)
+        return crystal.FieldGradient(dBdz=dbdz)
     except DomainError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
@@ -182,7 +189,8 @@ def _traps_for(cfg: ConfigData, section: str) -> tuple[crystal.TrapArray, float 
         if d_um is not None:
             traps = crystal.uniform_traps(n, d_um * MICRON, freqs)
         else:
-            centers = [float(c) * MICRON for c in centers_raw.split(",")]
+            centers = _finite([float(c) * MICRON for c in centers_raw.split(",")],
+                              f"[{section}] centers_um")
             if len(centers) != n:
                 raise ConfigError(f"[{section}] centers_um must list {n} values")
             traps = crystal.TrapArray(tuple(centers), tuple(freqs))
@@ -248,12 +256,8 @@ def cavity_from(cfg: ConfigData) -> cavity.CavitySetup:
     h = cfg.get_float("cavity", "h_mrad_s", required=True) * MRAD_S
     delta = cfg.get_float("cavity", "delta_mrad_s", required=True) * MRAD_S
     kappa = cfg.get_float("cavity", "kappa_mrad_s", required=True) * MRAD_S
-    radius_um = cfg.get_float("cavity", "radius_um")
     try:
-        return cavity.symmetric_setup(
-            omega, h, delta, kappa,
-            radius=radius_um * MICRON if radius_um is not None else None,
-        )
+        return cavity.symmetric_setup(omega, h, delta, kappa)
     except DomainError as exc:
         raise ConfigError(f"[cavity] {exc}") from None
 
@@ -269,14 +273,14 @@ def sweep_grid(cfg: ConfigData) -> tuple[list[float], list[float]]:
     try:
         if ":" in kappas_raw:
             start, stop, count = kappas_raw.split(":")
-            kappas = [
-                float(k) * MRAD_S
-                for k in np.linspace(float(start), float(stop), int(count))
-            ]
+            ends = _finite([float(start), float(stop)], "[sweep] kappa_grid_Mrad_s")
+            kappas = [float(k) * MRAD_S for k in np.linspace(*ends, int(count))]
         else:
             kappas = [float(x) * MRAD_S for x in kappas_raw.split(",")]
     except ValueError:
         raise ConfigError("[sweep] kappa_grid_Mrad_s: bad grid") from None
+    _finite(deltas, "[sweep] delta_list_Mrad_s")
+    _finite(kappas, "[sweep] kappa_grid_Mrad_s")
     if not deltas or not kappas:
         raise ConfigError("[sweep] grids must be non-empty")
     if any(d <= 0 for d in deltas):
@@ -391,8 +395,8 @@ _CRYSTAL_N5 = (
 )
 
 PRESETS = {
-    "table1": _SPECIES_BLOCK + "[gradient]\nB0_T = 0.0\n\n" + _table1_cases(),
-    "table2": _SPECIES_BLOCK + "[gradient]\nB0_T = 0.0\n\n" + _table2_cases(),
+    "table1": _SPECIES_BLOCK + _table1_cases(),
+    "table2": _SPECIES_BLOCK + _table2_cases(),
     "fig2": (
         _CAVITY_REFERENCE
         + "[sweep]\nkappa_grid_Mrad_s = 0:1000:41\ndelta_list_Mrad_s = 0.1,0.25,0.5,1.0\n"

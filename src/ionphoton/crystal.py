@@ -96,10 +96,13 @@ def uniform_traps(n_ions: int, spacing: float, frequencies) -> TrapArray:
 
 @dataclass(frozen=True)
 class FieldGradient:
-    """Axial magnetic field B(z) = B0 + dBdz * z."""
+    """Axial magnetic field gradient dB/dz.
+
+    Only the gradient enters the couplings; a uniform offset field shifts
+    every qubit splitting alike and is not modelled.
+    """
 
     dBdz: float       # T/m
-    B0: float = 0.0   # T; affects only absolute splittings, not modeled
 
     def __post_init__(self):
         if self.dBdz < 0:
@@ -251,42 +254,6 @@ def solve_equilibrium(traps: TrapArray, species: IonSpecies) -> Equilibrium:
     )
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-15, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors as columns), unsorted.  Adequate for
-    the small dense Hessians here (N <= 8); deterministic rotation order.
-    """
-    a = np.array(a, float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    norm = np.linalg.norm(a)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * norm * 1e-2:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    else:
-        raise UnstableConfigurationError("Jacobi eigensolver did not converge")
-    return np.diag(a).copy(), v
-
-
 def normal_modes(eq: Equilibrium, traps: TrapArray, species: IonSpecies) -> NormalModes:
     """Diagonalize the Hessian at equilibrium.
 
@@ -295,10 +262,7 @@ def normal_modes(eq: Equilibrium, traps: TrapArray, species: IonSpecies) -> Norm
     fixed so each row's largest-magnitude entry is positive.
     """
     hess = potential_hessian(eq.positions, traps, species)
-    evals, evecs = _jacobi_eigh(hess)
-    order = np.argsort(evals)
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals, evecs = np.linalg.eigh(hess)   # ascending eigenvalues
     if np.any(evals <= 0):
         raise UnstableConfigurationError(
             f"non-positive Hessian eigenvalue {evals.min():.3e}"

@@ -93,12 +93,11 @@ def _coupling_array(coupling) -> np.ndarray:
     return j
 
 
-def _apply_site_op(amps: np.ndarray, n_qubits: int, pos: int, op: np.ndarray):
-    """Apply a 2x2 operator on bit position ``pos`` (0 = most significant)."""
-    left = 1 << pos
-    right = 1 << (n_qubits - pos - 1)
-    work = amps.reshape(left, 2, right)
-    return np.einsum("ab,ibj->iaj", op, work).reshape(-1)
+def _apply_site_op(amps: np.ndarray, pos: int, op: np.ndarray):
+    """Apply a 2x2 operator on bit ``pos`` (0 = most significant) of the
+    leading axis; trailing axes (columns of a batch) ride along."""
+    work = amps.reshape(1 << pos, 2, -1)
+    return np.einsum("ab,ibj->iaj", op, work).reshape(amps.shape)
 
 
 def _spin_bit(ion: int) -> int:
@@ -119,9 +118,7 @@ def apply_rotation(
     """Rotate one ion's spin qubit; photons untouched, norm preserved."""
     if not 0 <= ion < state.n_ions:
         raise DomainError(f"ion index {ion} out of range")
-    amps = _apply_site_op(
-        state.amplitudes, 2 * state.n_ions, _spin_bit(ion), rotation_matrix(axis, angle)
-    )
+    amps = _apply_site_op(state.amplitudes, _spin_bit(ion), rotation_matrix(axis, angle))
     return SpinPhotonState(amps, state.n_ions)
 
 
@@ -129,7 +126,7 @@ def apply_hadamard(state: SpinPhotonState, ion: int) -> SpinPhotonState:
     """Hadamard (|g> -> (|g>+|e>)/sqrt2, |e> -> (|g>-|e>)/sqrt2) on one ion."""
     if not 0 <= ion < state.n_ions:
         raise DomainError(f"ion index {ion} out of range")
-    amps = _apply_site_op(state.amplitudes, 2 * state.n_ions, _spin_bit(ion), HADAMARD)
+    amps = _apply_site_op(state.amplitudes, _spin_bit(ion), HADAMARD)
     return SpinPhotonState(amps, state.n_ions)
 
 
@@ -137,28 +134,12 @@ def _ising_phases(j: np.ndarray, t: float, n_ions: int) -> np.ndarray:
     """Diagonal phases exp(+i t sum_{i<j} (J_ij/2) z_i z_j) over ion configs."""
     configs = np.arange(2**n_ions)
     z = 1.0 - 2.0 * ((configs[:, None] >> (n_ions - 1 - np.arange(n_ions))) & 1)
-    angle = np.zeros(2**n_ions)
-    for a in range(n_ions - 1):
-        for b in range(a + 1, n_ions):
-            angle += 0.5 * j[a, b] * t * z[:, a] * z[:, b]
-    return np.exp(1j * angle)
+    return np.exp(0.5j * t * ((z @ np.triu(j, 1)) * z).sum(1))
 
 
 def ising_evolve(state: SpinPhotonState, coupling, t: float) -> SpinPhotonState:
     """Free evolution under the always-on zz couplings for time t."""
-    j = _coupling_array(coupling)
-    n = state.n_ions
-    if j.shape[0] != n:
-        raise DomainError("coupling dimension does not match state")
-    phases = _ising_phases(j, t, n)
-    # ion config bits are the even bit positions; photons ride along
-    amps = state.amplitudes.reshape([2] * (2 * n))
-    spin_axes = tuple(range(0, 2 * n, 2))
-    phase_nd = phases.reshape([2] * n)
-    # broadcast phases over the photon axes
-    expand = [slice(None) if ax in spin_axes else None for ax in range(2 * n)]
-    amps = amps * phase_nd[tuple(expand)]
-    return SpinPhotonState(amps.reshape(-1), state.n_ions)
+    return apply_sequence(state, PulseSequence((IsingDelay(t),)), coupling)
 
 
 def bitstring_index(bits) -> int:
@@ -257,58 +238,48 @@ class PulseSequence:
         return PulseSequence(tuple(elements))
 
 
-def apply_sequence(
-    state: SpinPhotonState, seq: PulseSequence, coupling
-) -> SpinPhotonState:
-    """Run a pulse sequence on a spin-photon state (chronological order)."""
-    for e in reversed(seq.elements):
-        if isinstance(e, Rotation):
-            state = apply_rotation(state, e.ion, e.axis, e.angle)
-        elif isinstance(e, IsingDelay):
-            state = ising_evolve(state, coupling, e.duration)
-        else:
-            state = SpinPhotonState(
-                state.amplitudes * np.exp(1j * e.angle), state.n_ions
-            )
-    return state
+def _run_elements(amps: np.ndarray, stride: int, seq: PulseSequence, j: np.ndarray):
+    """Apply ``seq`` in chronological order along the leading axis of ``amps``.
 
-
-# ---------------------------------------------------------------------------
-# matrices over the ion-qubit subspace
-
-
-def embed_ion_op(op: np.ndarray, ion: int, n_ions: int) -> np.ndarray:
-    """Kron-embed a 2x2 spin operator at site ``ion`` in the 2^N ion space."""
-    mats = [np.eye(2, dtype=complex)] * n_ions
-    mats[ion] = op
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def ising_unitary(coupling, t: float, n_ions: int) -> np.ndarray:
-    """Diagonal free-evolution unitary on the 2^N ion space."""
-    j = _coupling_array(coupling)
-    return np.diag(_ising_phases(j, t, n_ions))
-
-
-def sequence_unitary(seq: PulseSequence, coupling, n_ions: int | None = None) -> np.ndarray:
-    """Dense unitary of a sequence over the ion-qubit subspace."""
-    j = _coupling_array(coupling)
-    n = n_ions if n_ions is not None else j.shape[0]
-    u = np.eye(2**n, dtype=complex)
+    Ion i's spin is bit ``stride * i`` of that axis: stride 2 for the
+    interleaved spin-photon register, 1 for the bare ion space.  Trailing
+    axes (the columns of a unitary) ride along.
+    """
+    n = j.shape[0]
     for e in reversed(seq.elements):
         if isinstance(e, Rotation):
             if not 0 <= e.ion < n:
                 raise DomainError(f"ion index {e.ion} out of range")
-            m = embed_ion_op(rotation_matrix(e.axis, e.angle), e.ion, n)
+            amps = _apply_site_op(amps, stride * e.ion, rotation_matrix(e.axis, e.angle))
         elif isinstance(e, IsingDelay):
-            m = ising_unitary(j, e.duration, n)
+            # phases indexed by the spin bits; photon bits and columns broadcast
+            phases = _ising_phases(j, e.duration, n).reshape((2, 1) * n + (1,))
+            work = amps.reshape((2, 1 << (stride - 1)) * n + (-1,))
+            amps = (work * phases).reshape(amps.shape)
         else:
-            m = np.exp(1j * e.angle) * np.eye(2**n)
-        u = m @ u
-    return u
+            amps = amps * np.exp(1j * e.angle)
+    return amps
+
+
+def apply_sequence(
+    state: SpinPhotonState, seq: PulseSequence, coupling
+) -> SpinPhotonState:
+    """Run a pulse sequence on a spin-photon state (chronological order)."""
+    j = _coupling_array(coupling)
+    if j.shape[0] != state.n_ions:
+        raise DomainError("coupling dimension does not match state")
+    return SpinPhotonState(_run_elements(state.amplitudes, 2, seq, j), state.n_ions)
+
+
+def sequence_unitary(seq: PulseSequence, coupling, n_ions: int | None = None) -> np.ndarray:
+    """Dense unitary of a sequence over the ion-qubit subspace.
+
+    Column k is the sequence applied to ion basis state k.
+    """
+    j = _coupling_array(coupling)
+    if n_ions not in (None, j.shape[0]):
+        raise DomainError("coupling dimension does not match n_ions")
+    return _run_elements(np.eye(2 ** j.shape[0], dtype=complex), 1, seq, j)
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:

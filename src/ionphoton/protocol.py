@@ -60,13 +60,6 @@ class ExperimentConfig:
         return self.traps.n_ions
 
 
-def prepare_initial(n_ions: int) -> list[cavity.FourLevelAmplitudes]:
-    """Per-ion (|g'> + |e'>)/sqrt(2) x |00> product state."""
-    if n_ions < 1:
-        raise DomainError("need at least one ion")
-    return [cavity.initial_superposition() for _ in range(n_ions)]
-
-
 def emission_stage(cfg: ExperimentConfig):
     """Conditional emission at each ion's optimal stop time.
 
@@ -96,13 +89,11 @@ def entangle_stage(
     state: gates.SpinPhotonState,
     cfg: ExperimentConfig,
     coupling: crystal.CouplingMatrix | None = None,
-    compiled: bool = True,
 ) -> gates.SpinPhotonState:
     """CNOT from ion 1 to ions 2..N, then Hadamard on ion 1.
 
-    With ``compiled=True`` every CNOT runs as its pulse sequence over the
-    actual coupling matrix (spectator couplings refocused away); otherwise
-    the ideal gate is applied directly.
+    Every CNOT runs as its compiled pulse sequence over the actual coupling
+    matrix, with the spectator couplings refocused away.
     """
     if coupling is None:
         coupling = chain_coupling(cfg)
@@ -110,27 +101,9 @@ def entangle_stage(
     for target in range(1, cfg.n_ions):
         if j[0, target] == 0:
             raise UncompilableError(f"J[0,{target}] = 0: CNOT unavailable")
-        if compiled:
-            seq = gates.cnot_sequence(j, 0, target, active_on=cfg.cnot_active_on)
-            state = gates.apply_sequence(state, seq, j)
-        else:
-            state = _apply_ideal_cnot(state, 0, target, cfg.cnot_active_on)
+        seq = gates.cnot_sequence(j, 0, target, active_on=cfg.cnot_active_on)
+        state = gates.apply_sequence(state, seq, j)
     return gates.apply_hadamard(state, 0)
-
-
-def _apply_ideal_cnot(
-    state: gates.SpinPhotonState, control: int, target: int, active_on: str
-) -> gates.SpinPhotonState:
-    """Exact controlled-X on the spin qubits (photons untouched)."""
-    n = state.n_ions
-    nq = 2 * n
-    shift_c = nq - 1 - 2 * control
-    shift_t = nq - 1 - 2 * target
-    active_bit = 0 if active_on == "e" else 1
-    idx = np.arange(4**n)
-    flips = ((idx >> shift_c) & 1) == active_bit
-    perm = np.where(flips, idx ^ (1 << shift_t), idx)
-    return gates.SpinPhotonState(state.amplitudes[perm], n)
 
 
 @dataclass(frozen=True)

@@ -278,12 +278,12 @@ def run_report_doc(report: protocol.RunReport) -> dict:
 def run_bundle(report: protocol.RunReport, fmt_choice: str) -> ReportBundle:
     bundle = ReportBundle("run")
     table = report.table
-    if fmt_choice in ("csv", "both"):
+    if fmt_choice == "json":
+        bundle.add("outcome_table.json", json_bytes(outcome_table_doc(table)))
+    else:
         bundle.add("outcome_table.csv", csv_bytes(
             ["ions", "probability", "photon_state"],
             [[row.ions, row.probability, row.expression] for row in table.rows],
         ))
-    if fmt_choice in ("json", "both"):
-        bundle.add("outcome_table.json", json_bytes(outcome_table_doc(table)))
     bundle.add("run_report.json", json_bytes(run_report_doc(report)))
     return bundle

@@ -3,7 +3,8 @@
 Nothing here may call the production code paths it verifies: the cavity
 integrator is a plain fixed-step RK4 on the raw non-Hermitian Schrodinger
 equation, the equilibrium oracle is 1-D coordinate-descent energy
-minimization, and the outcome tables are typed in by hand.
+minimization, the zz and entangling references are index arithmetic on
+the basis states, and the outcome tables are typed in by hand.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ionphoton.constants import K_COULOMB
+from ionphoton.gates import SpinPhotonState
 
 SQ2 = math.sqrt(2.0)
 
@@ -131,6 +133,36 @@ def coordinate_descent_equilibrium(centers, freqs, mass,
         if moved < tol:
             break
     return z
+
+
+# ---------------------------------------------------------------------------
+# gates: exact ion-space unitaries and the ideal entangling stage
+
+
+def zz_unitary(n_ions: int, pair, angle: float) -> np.ndarray:
+    """diag exp(i angle z_a z_b) on the 2^N ion space, z = +1 for |e> (bit 0)."""
+    a, b = pair
+    idx = np.arange(2**n_ions)
+    z_a = 1 - 2 * ((idx >> (n_ions - 1 - a)) & 1)
+    z_b = 1 - 2 * ((idx >> (n_ions - 1 - b)) & 1)
+    return np.diag(np.exp(1j * angle * z_a * z_b))
+
+
+def ideal_entangle(state, active_on: str) -> SpinPhotonState:
+    """Exact CNOTs from ion 1 to ions 2..N, then the Hadamard on ion 1.
+
+    Each controlled-X is a permutation of the interleaved spin-photon
+    amplitudes (photon bits untouched); the Hadamard maps |e> -> (|g>-|e>)/sqrt2
+    and |g> -> (|g>+|e>)/sqrt2 on ion 1's spin, the most significant bit.
+    """
+    n = state.n_ions
+    idx = np.arange(4**n)
+    control_on = ((idx >> (2 * n - 1)) & 1) == (0 if active_on == "e" else 1)
+    amps = state.amplitudes
+    for target in range(1, n):
+        amps = amps[np.where(control_on, idx ^ (1 << (2 * n - 1 - 2 * target)), idx)]
+    e_half, g_half = amps.reshape(2, -1)
+    return SpinPhotonState(np.concatenate([g_half - e_half, e_half + g_half]) / SQ2, n)
 
 
 # ---------------------------------------------------------------------------

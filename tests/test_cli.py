@@ -265,13 +265,42 @@ class TestDeterminism:
         assert len(doc["points"]) == 4 * 41
 
 
+_CAVITY_TEXT = (
+    "[cavity]\nOmega_Mrad_s = 10.0\nh_Mrad_s = 138.0\ndelta_Mrad_s = 0.1\n"
+    "kappa_Mrad_s = 960.0\n"
+)
+
+
 class TestErrors:
-    def test_unknown_key_reports_section(self, tmp_path):
+    @pytest.mark.parametrize("section,key,text", [
+        ("crystal", "wat", "[crystal]\nn_ions = 2\nd_um = 6.0\nnu_Mrad_s = 5.55\nwat = 1\n"),
+        # accepted once but never modelled
+        ("gradient", "b0_t", "[gradient]\ndBdz_T_per_m = 1.0\nB0_T = 0.0\n"),
+        ("cavity", "radius_um", _CAVITY_TEXT + "radius_um = 10\n"),
+    ], ids=["crystal-wat", "gradient-B0_T", "cavity-radius_um"])
+    def test_unknown_key_reports_section(self, tmp_path, section, key, text):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[crystal]\nn_ions = 2\nd_um = 6.0\nnu_Mrad_s = 5.55\nwat = 1\n")
+        cfg.write_text(text)
         result = run_cli(["couplings", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
-        assert "crystal" in result.output and "wat" in result.output
+        assert section in result.output and key in result.output
+
+    @pytest.mark.parametrize("command,text", [
+        ("emission", _CAVITY_TEXT
+         + "[sweep]\nkappa_grid_Mrad_s = 0,nan\ndelta_list_Mrad_s = 0.1\n"),
+        ("emission", _CAVITY_TEXT.replace("960.0", "nan")
+         + "[sweep]\nkappa_grid_Mrad_s = 0:1000:3\ndelta_list_Mrad_s = 0.1\n"),
+        ("couplings", "[crystal]\nn_ions = 2\nd_um = inf\nnu_Mrad_s = 5.55\n"
+         "dBdz_T_per_m = 1.0\n"),
+    ], ids=["sweep-grid-nan", "kappa-nan", "d_um-inf"])
+    def test_non_finite_input_rejected(self, tmp_path, command, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output.startswith("config error:") and "finite" in result.output
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_missing_key_reports_section_and_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -155,19 +155,6 @@ class TestNormalModes:
             resid = hess @ s[k] - YB.mass * modes.mode_freqs[k] ** 2 * s[k]
             assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(hess)
 
-    def test_jacobi_matches_lapack(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 4, 8):
-            a = rng.normal(size=(n, n))
-            a = a + a.T
-            evals, evecs = crystal._jacobi_eigh(a)
-            order = np.argsort(evals)
-            ref = np.linalg.eigvalsh(a)
-            assert np.allclose(np.sort(evals), ref, atol=1e-12 * max(1, abs(ref).max()))
-            for k in range(n):
-                v = evecs[:, order[k]]
-                assert np.linalg.norm(a @ v - np.sort(evals)[k] * v) < 1e-10
-
 
 class TestCouplings:
     def test_zero_gradient_means_zero_coupling(self):

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ionphoton import gates
 from ionphoton.errors import DomainError, UncompilableError
 
+import oracles
+
 SQ2 = math.sqrt(2.0)
 
 
@@ -216,9 +218,7 @@ class TestRefocusing:
         j[0, 2] = j[2, 0] = 922.0
         seq = gates.compile_refocused_zz(j, (0, 1), math.pi / 4)
         u = gates.sequence_unitary(seq, j)
-        target_j = np.zeros((3, 3))
-        target_j[0, 1] = target_j[1, 0] = math.pi / 2
-        target = gates.ising_unitary(target_j, 1.0, 3)
+        target = oracles.zz_unitary(3, (0, 1), math.pi / 4)
         assert np.max(np.abs(u - target)) < 1e-10
 
     def test_zero_coupling_uncompilable(self):
@@ -240,10 +240,24 @@ class TestRefocusing:
         i, k = int(i), int(k)
         seq = gates.compile_refocused_zz(j, (i, k), angle)
         u = gates.sequence_unitary(seq, j)
-        target_j = np.zeros((n, n))
-        target_j[i, k] = target_j[k, i] = 2.0 * angle
-        target = gates.ising_unitary(target_j, 1.0, n)
+        target = oracles.zz_unitary(n, (i, k), angle)
         assert np.max(np.abs(u - target)) < 1e-9
+
+    def test_pulse_counts_are_pinned(self):
+        """Walsh-pattern refocusing cost for 0..4 spectators.
+
+        Spectators follow distinct non-constant rows of a Hadamard matrix,
+        the decoupling scheme of Leung, Chuang, Yamaguchi & Yamamoto,
+        PRA 61, 042310 (2000).  Pinning today's pi-pulse and delay counts
+        keeps a refactor from quietly adding pulses.
+        """
+        for spectators, pulses, delays in zip(range(5), (0, 2, 6, 8, 18), (1, 2, 4, 4, 8)):
+            j = random_coupling(spectators + 2, spectators)
+            seq = gates.compile_refocused_zz(j, (0, 1), math.pi / 4)
+            rots = [e for e in seq.elements if isinstance(e, gates.Rotation)]
+            assert all(e.axis == "x" and e.angle == math.pi for e in rots)
+            assert len(rots) == pulses
+            assert sum(isinstance(e, gates.IsingDelay) for e in seq.elements) == delays
 
 
 class TestCnotSequences:
@@ -279,6 +293,28 @@ class TestCnotSequences:
 
 
 class TestSequencePlumbing:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["cnot", "refocused_zz"])
+    def test_unitary_columns_match_state_evolution(self, n, kind):
+        j = random_coupling(n, 30 + n)
+        if kind == "cnot":
+            seq = gates.cnot_sequence(j, 0, n - 1)
+        else:
+            seq = gates.compile_refocused_zz(j, (0, n - 1), 0.7)
+        u = gates.sequence_unitary(seq, j)
+        photons = np.random.default_rng(n).integers(0, 2, size=n)
+
+        def register_index(spin_index):
+            spins = [(spin_index >> (n - 1 - i)) & 1 for i in range(n)]
+            return gates.bitstring_index(b for pair in zip(spins, photons) for b in pair)
+
+        rows = [register_index(r) for r in range(2**n)]
+        for col in range(2**n):
+            out = gates.apply_sequence(basis_state(n, register_index(col)), seq, j)
+            expected = np.zeros(4**n, complex)
+            expected[rows] = u[:, col]
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
     def test_empty_sequence_identity(self):
         j = np.array([[0.0, 1.0], [1.0, 0.0]])
         u = gates.sequence_unitary(gates.PulseSequence(()), j)

