@@ -175,12 +175,27 @@ def optimal_emission_time(omega_eff: float, kappa: float) -> float:
 
     Underdamped: tan(omega' tau) = 2 omega' / kappa, first branch.
     Overdamped (kappa >= 2 omega): tanh(mu tau) = x with mu = |omega'| and
-    x = 2 mu / kappa < 1, so the maximizer is always finite.
+    x = 2 mu / kappa < 1, so the maximizer is always finite in exact
+    arithmetic.  Rates at the ends of the float range, where the closed form
+    overflows or divides by zero, raise DomainError.
     """
     if omega_eff <= 0:
         raise DomainError("omega_eff must be positive")
     if kappa < 0:
         raise DomainError("kappa must be >= 0")
+    try:
+        tau = _stop_time(omega_eff, kappa)
+    except (OverflowError, ZeroDivisionError):
+        tau = math.inf
+    if not math.isfinite(tau):
+        raise DomainError(
+            f"no finite optimal emission time for omega_eff {omega_eff:.3e} "
+            f"rad/s and kappa {kappa:.3e} rad/s"
+        )
+    return tau
+
+
+def _stop_time(omega_eff: float, kappa: float) -> float:
     if kappa == 0.0:
         return math.pi / (2.0 * omega_eff)
     disc = omega_eff**2 - kappa**2 / 4.0

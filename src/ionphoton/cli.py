@@ -6,29 +6,14 @@ bundle to ``--out``.  Exit codes: 0 success, 2 configuration problem,
 3 numerical/solver failure.  Environment variables are never consulted.
 """
 
+import functools
 import sys
 from pathlib import Path
 
 import click
 
 from . import cavity, config, crystal, gates, protocol, reports
-from .errors import (
-    ConfigError,
-    DomainError,
-    InstabilityError,
-    IonPhotonError,
-    SolverError,
-    UncompilableError,
-    UnstableConfigurationError,
-)
-
-_NUMERIC_ERRORS = (
-    SolverError,
-    InstabilityError,
-    UnstableConfigurationError,
-    UncompilableError,
-    DomainError,
-)
+from .errors import ConfigError, IonPhotonError
 
 
 def _explain_units(ctx, param, value):
@@ -47,170 +32,154 @@ def main():
     """Trapped-ion entangled-photon source simulator."""
 
 
-def _common(fn):
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-        help="Primary table format.",
-    )(fn)
-    fn = click.option("--seed", type=int, default=None, help="Override the config seed.")(fn)
-    fn = click.option(
-        "--out", "out_dir", required=True, type=click.Path(file_okay=False),
-        help="Output directory for the report bundle.",
-    )(fn)
-    fn = click.option("--preset", default=None, help="Name of an embedded preset config.")(fn)
-    fn = click.option(
-        "--config", "config_path", default=None,
-        type=click.Path(exists=True, dir_okay=False),
-        help="Path to a config file.",
-    )(fn)
-    return fn
-
-
 def _load_config(config_path, preset) -> config.ConfigData:
     if (config_path is None) == (preset is None):
         raise ConfigError("give exactly one of --config or --preset")
-    text = (
-        config.preset_text(preset)
-        if preset is not None
-        else Path(config_path).read_text()
-    )
+    if preset is not None:
+        return config.load_config(config.preset_text(preset))
+    try:
+        text = Path(config_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{config_path}: not UTF-8 text ({exc.reason})") from None
     return config.load_config(text)
 
 
-def _run_guarded(body):
-    try:
-        body()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except _NUMERIC_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    except IonPhotonError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+def _subcommand(fn):
+    """Run ``fn(cfg, **options) -> ReportBundle`` as a command body.
+
+    The config comes from --config or --preset and the bundle goes to
+    --out.  A package error ends the command with one line on stderr and
+    no bundle: exit 2 for a ConfigError, 3 for every other IonPhotonError.
+    """
+
+    @functools.wraps(fn)
+    def guarded(config_path, preset, out_dir, **options):
+        try:
+            bundle = fn(_load_config(config_path, preset), **options)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        except IonPhotonError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+        out = bundle.write(out_dir)
+        click.echo(f"wrote {len(bundle.files) + 1} files to {out}")
+
+    guarded = click.option(
+        "--out", "out_dir", required=True, type=click.Path(file_okay=False),
+        help="Output directory for the report bundle.",
+    )(guarded)
+    guarded = click.option(
+        "--preset", default=None, help="Name of an embedded preset config.",
+    )(guarded)
+    return click.option(
+        "--config", "config_path", default=None,
+        type=click.Path(exists=True, dir_okay=False),
+        help="Path to a config file.",
+    )(guarded)
+
+
+_format = click.option(
+    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+    help="Primary table format.",
+)
 
 
 @main.command()
-@_common
-def couplings(config_path, preset, out_dir, seed, fmt):
+@_subcommand
+@_format
+def couplings(cfg, fmt):
     """Chain equilibria, modes, sideband and coupling tables."""
-
-    def body():
-        cfg = _load_config(config_path, preset)
-        cases = config.crystal_cases(cfg)
-        bundle = reports.couplings_bundle(cases, fmt)
-        out = bundle.write(out_dir)
-        click.echo(f"wrote {len(bundle.files) + 1} files to {out}")
-
-    _run_guarded(body)
+    return reports.couplings_bundle(config.crystal_cases(cfg), fmt)
 
 
 @main.command()
-@_common
-def emission(config_path, preset, out_dir, seed, fmt):
+@_subcommand
+@_format
+def emission(cfg, fmt):
     """Photon-emission success-rate sweep over (detuning, decay-rate)."""
-
-    def body():
-        cfg = _load_config(config_path, preset)
-        setup = config.cavity_from(cfg)
-        deltas, kappas = config.sweep_grid(cfg)
-        omega = setup.channel_g.omega_laser
-        h = setup.channel_g.g_cav
-        sweep = cavity.fig2_sweep(omega, h, deltas, kappas)
-        summary = [
-            [p.delta, cavity.effective_rabi(cavity.RamanChannel(omega, h, p.delta)),
-             p.kappa, p.tau_star, p.p_single, p.p_pair]
-            for p in cavity.fig2_sweep(omega, h, deltas, [setup.kappa])
-        ]
-        bundle = reports.emission_bundle(sweep, summary, fmt)
-        out = bundle.write(out_dir)
-        click.echo(f"wrote {len(bundle.files) + 1} files to {out}")
-
-    _run_guarded(body)
+    setup = config.cavity_from(cfg)
+    deltas, kappas = config.sweep_grid(cfg)
+    omega = setup.channel_g.omega_laser
+    h = setup.channel_g.g_cav
+    sweep = cavity.fig2_sweep(omega, h, deltas, kappas)
+    summary = [
+        [p.delta, cavity.effective_rabi(cavity.RamanChannel(omega, h, p.delta)),
+         p.kappa, p.tau_star, p.p_single, p.p_pair]
+        for p in cavity.fig2_sweep(omega, h, deltas, [setup.kappa])
+    ]
+    return reports.emission_bundle(sweep, summary, fmt)
 
 
 @main.command(name="gates")
-@_common
-def gates_cmd(config_path, preset, out_dir, seed, fmt):
+@_subcommand
+def gates_cmd(cfg):
     """CNOT polarity checks and refocusing verification."""
+    cases = config.crystal_cases(cfg)
+    if len(cases) != 1:
+        raise ConfigError("gates command needs exactly one [crystal] section")
+    case = cases[0]
+    _, _, coupling, _ = crystal.solve_chain(case.traps, case.gradient, case.species)
 
-    def body():
-        cfg = _load_config(config_path, preset)
-        cases = config.crystal_cases(cfg)
-        if len(cases) != 1:
-            raise ConfigError("gates command needs exactly one [crystal] section")
-        case = cases[0]
-        _, _, coupling, _ = crystal.solve_chain(case.traps, case.gradient, case.species)
+    prod_g = gates.cnot_product_matrix(active_on="g")
+    prod_e = gates.cnot_product_matrix(active_on="e")
+    fid_g = gates.gate_fidelity(prod_g, gates.ideal_cnot(2, 0, 1, "g"))
+    fid_e = gates.gate_fidelity(prod_e, gates.ideal_cnot(2, 0, 1, "e"))
 
-        prod_g = gates.cnot_product_matrix(active_on="g")
-        prod_e = gates.cnot_product_matrix(active_on="e")
-        fid_g = gates.gate_fidelity(prod_g, gates.ideal_cnot(2, 0, 1, "g"))
-        fid_e = gates.gate_fidelity(prod_e, gates.ideal_cnot(2, 0, 1, "e"))
+    lines = [
+        "two-qubit controlled-X product checks",
+        f"  fidelity(six-factor product, ideal CX active on |g>) = {fid_g!r}",
+        f"  fidelity(control-z-negated variant, ideal CX active on |e>) = {fid_e!r}",
+        "  six-factor product matrix, basis |ee>,|eg>,|ge>,|gg>:",
+    ]
+    lines += reports.matrix_lines(prod_g, ["ee", "eg", "ge", "gg"])
+    lines.append(gates.POLARITY_DIAGNOSTIC)
+    lines.append("refocusing verification over the configured couplings:")
 
-        lines = [
-            "two-qubit controlled-X product checks",
-            f"  fidelity(six-factor product, ideal CX active on |g>) = {fid_g!r}",
-            f"  fidelity(control-z-negated variant, ideal CX active on |e>) = {fid_e!r}",
-            "  six-factor product matrix, basis |ee>,|eg>,|ge>,|gg>:",
-        ]
-        lines += reports.matrix_lines(prod_g, ["ee", "eg", "ge", "gg"])
-        lines.append(gates.POLARITY_DIAGNOSTIC)
-        lines.append("refocusing verification over the configured couplings:")
+    n = case.traps.n_ions
+    refocused = []
+    for target in range(1, n):
+        seq = gates.cnot_sequence(coupling.J, 0, target, active_on="e")
+        u = gates.sequence_unitary(seq, coupling.J, n)
+        ideal = gates.ideal_cnot(n, 0, target, "e")
+        fid = gates.gate_fidelity(u, ideal)
+        refocused.append(
+            {"target": target + 1, "fidelity": fid,
+             "duration_s": seq.total_duration}
+        )
+        lines.append(
+            f"  CNOT 1->{target + 1}: fidelity deficit = {1.0 - fid!r}, "
+            f"duration = {seq.total_duration!r} s"
+        )
 
-        n = case.traps.n_ions
-        refocused = []
-        for target in range(1, n):
-            seq = gates.cnot_sequence(coupling.J, 0, target, active_on="e")
-            u = gates.sequence_unitary(seq, coupling.J, n)
-            ideal = gates.ideal_cnot(n, 0, target, "e")
-            fid = gates.gate_fidelity(u, ideal)
-            refocused.append(
-                {"target": target + 1, "fidelity": fid,
-                 "duration_s": seq.total_duration}
-            )
-            lines.append(
-                f"  CNOT 1->{target + 1}: fidelity deficit = {1.0 - fid!r}, "
-                f"duration = {seq.total_duration!r} s"
-            )
-
-        report = {
-            "fidelity_product_vs_g_active": fid_g,
-            "fidelity_variant_vs_e_active": fid_e,
-            "refocused_cnots": refocused,
-            "diagnostic": gates.POLARITY_DIAGNOSTIC,
-        }
-        bundle = reports.gates_bundle(report, lines)
-        out = bundle.write(out_dir)
-        click.echo("\n".join(lines))
-        click.echo(f"wrote {len(bundle.files) + 1} files to {out}")
-
-    _run_guarded(body)
+    report = {
+        "fidelity_product_vs_g_active": fid_g,
+        "fidelity_variant_vs_e_active": fid_e,
+        "refocused_cnots": refocused,
+        "diagnostic": gates.POLARITY_DIAGNOSTIC,
+    }
+    click.echo("\n".join(lines))
+    return reports.gates_bundle(report, lines)
 
 
 @main.command()
-@_common
+@_subcommand
+@_format
+@click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--trials", type=int, default=None, help="Override the config trial count.")
-def run(config_path, preset, out_dir, seed, fmt, trials):
+def run(cfg, fmt, seed, trials):
     """Full protocol: emission, entangling gates, outcome table, sampling."""
-
-    def body():
-        cfg = _load_config(config_path, preset)
-        experiment = config.experiment_from(cfg, seed_override=seed)
-        n_trials = trials if trials is not None else config.trials_from(cfg)
-        if n_trials < 1:
-            raise ConfigError("--trials must be >= 1")
-        report = protocol.sample_run(experiment, n_trials)
-        bundle = reports.run_bundle(report, fmt)
-        out = bundle.write(out_dir)
-        click.echo(
-            f"N={experiment.n_ions}  p_total={report.p_total:.6f}  "
-            f"success {report.n_success}/{report.trials}  "
-            f"timing {report.timing_s:.6e} s"
-        )
-        click.echo(f"wrote {len(bundle.files) + 1} files to {out}")
-
-    _run_guarded(body)
+    experiment = config.experiment_from(cfg, seed_override=seed)
+    n_trials = trials if trials is not None else config.trials_from(cfg)
+    if n_trials < 1:
+        raise ConfigError("--trials must be >= 1")
+    report = protocol.sample_run(experiment, n_trials)
+    click.echo(
+        f"N={experiment.n_ions}  p_total={report.p_total:.6f}  "
+        f"success {report.n_success}/{report.trials}  "
+        f"timing {report.timing_s:.6e} s"
+    )
+    return reports.run_bundle(report, fmt)
 
 
 if __name__ == "__main__":

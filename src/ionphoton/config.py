@@ -1,35 +1,49 @@
 """Plain-text experiment configuration: parsing, validation, presets.
 
 Config files are INI-style sections of key=value pairs.  Keys carry their
-unit in the suffix (``d_um``, ``nu_Mrad_s``, ``dBdz_T_per_m``); values are
-converted to SI on load, so everything downstream works in m, kg, s and
-rad/s.  Unknown sections or keys are rejected with the offending name.
+unit in the suffix (``d_um``, ``nu_Mrad_s``, ``dBdz_T_per_m``).  ``SCHEMA``
+is the one place where units live: it lists every section and key with the
+factor that converts the written value to SI, so everything downstream
+works in m, kg, s and rad/s.  A value is checked for finiteness after that
+conversion, so a finite number that overflows (``kappa_Mrad_s = 1e305``)
+is a configuration error.  Unknown sections or keys are rejected with the
+offending name.
 
 ``[case.1]``, ``[case.2]``, ... sections describe independent chain
-configurations for table-style sweeps; single-configuration commands use
-one ``[crystal]`` section instead.
+configurations for table-style sweeps and share the ``[crystal]`` keys;
+single-configuration commands use one ``[crystal]`` section instead.
 """
 
 import configparser
 import io
 import math
+import re
 
 import numpy as np
 
 from . import cavity, crystal, protocol
-from .constants import ATOMIC_MASS, KRAD_S, MICRON, MRAD_S
+from .constants import ATOMIC_MASS, KRAD_S, MICRON, MRAD_S, YB171_MASS
 from .errors import ConfigError, DomainError
 
-_SPECIES_KEYS = {"mass_amu", "g_factor", "label"}
-_GRADIENT_KEYS = {"dbdz_t_per_m"}
-_CASE_KEYS = {
-    "n_ions", "d_um", "centers_um", "nu_mrad_s", "dbdz_t_per_m", "eta_laser",
-    "ref_delta_um", "ref_h_um", "ref_eps_max", "ref_j12_khz", "ref_j13_khz",
-}  # plus nu_<k>_mrad_s, validated dynamically
-_CAVITY_KEYS = {"omega_mrad_s", "h_mrad_s", "delta_mrad_s", "kappa_mrad_s"}
-_SWEEP_KEYS = {"kappa_grid_mrad_s", "delta_list_mrad_s"}
-_PROTOCOL_KEYS = {"cnot_active_on", "t0_s", "t1_s", "collection_efficiency"}
-_RUN_KEYS = {"trials", "seed"}
+# section -> key (lower case, as parsed) -> SI factor of its value; None marks
+# a key that is not a number in physical units (a label, a count, a seed).
+SCHEMA = {
+    "species": {"mass_amu": ATOMIC_MASS, "g_factor": 1.0, "label": None},
+    "gradient": {"dbdz_t_per_m": 1.0},
+    "crystal": {  # plus nu_<k>_Mrad_s for trap k, matched by _PER_TRAP_NU
+        "n_ions": None, "d_um": MICRON, "centers_um": MICRON, "nu_mrad_s": MRAD_S,
+        "dbdz_t_per_m": 1.0, "eta_laser": 1.0, "ref_delta_um": MICRON,
+        "ref_h_um": MICRON, "ref_eps_max": 1.0, "ref_j12_khz": KRAD_S,
+        "ref_j13_khz": KRAD_S,
+    },
+    "cavity": {"omega_mrad_s": MRAD_S, "h_mrad_s": MRAD_S, "delta_mrad_s": MRAD_S,
+               "kappa_mrad_s": MRAD_S},
+    "sweep": {"kappa_grid_mrad_s": MRAD_S, "delta_list_mrad_s": MRAD_S},
+    "protocol": {"cnot_active_on": None, "t0_s": 1.0, "t1_s": 1.0,
+                 "collection_efficiency": 1.0},
+    "run": {"trials": None, "seed": None},
+}
+_PER_TRAP_NU = re.compile(r"nu_[0-9]+_mrad_s")
 
 UNITS_HELP = """\
 Configuration unit conventions
@@ -44,6 +58,24 @@ Frequencies quoted as "MHz"/"KHz" in trap and coupling tables are angular
 rates: 1 MHz == 1e6 rad/s and 1 KHz == 1e3 rad/s.  This convention is what
 reproduces the reference equilibria and couplings, and presets rely on it.
 """
+
+
+def _keys(section: str) -> dict:
+    """The key table of a section; every [case.N] shares [crystal]'s."""
+    name = "crystal" if section.startswith("case.") else section
+    if name not in SCHEMA:
+        raise ConfigError(f"unknown section [{section}]")
+    return SCHEMA[name]
+
+
+def _unit(section: str, key: str):
+    """SI factor of a key (None for a label, count or seed); unknown keys raise."""
+    keys = _keys(section)
+    if key in keys:
+        return keys[key]
+    if keys is SCHEMA["crystal"] and _PER_TRAP_NU.fullmatch(key):
+        return MRAD_S
+    raise ConfigError(f"[{section}] unknown key '{key}'")
 
 
 class ConfigData:
@@ -66,6 +98,7 @@ class ConfigData:
         return default
 
     def get_float(self, section, key, default=None, required=False):
+        """The value in SI units, or ``default`` (already SI) when absent."""
         raw = self.get(section, key, required=required)
         if raw is None:
             return default
@@ -73,7 +106,24 @@ class ConfigData:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
-        return _finite([value], f"[{section}] {key}")[0]
+        return _si(section, key, [value])[0]
+
+    def get_floats(self, section, key, required=False):
+        """A list 'a,b,c' or 'start:stop:count' (linspace) in SI units, or None."""
+        raw = self.get(section, key, required=required)
+        if raw is None:
+            return None
+        try:
+            if ":" in raw:
+                start, stop, count = raw.split(":")
+                ends = [float(start), float(stop)]
+                _si(section, key, ends)   # no nan or inf into linspace
+                values = np.linspace(*ends, int(count)).tolist()
+            else:
+                values = [float(x) for x in raw.split(",")]
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: bad number list: {raw!r}") from None
+        return _si(section, key, values)
 
     def get_int(self, section, key, default=None, required=False):
         raw = self.get(section, key, required=required)
@@ -85,49 +135,13 @@ class ConfigData:
             raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
 
 
-def _finite(values: list[float], where: str) -> list[float]:
-    """Reject nan and +-inf, which would pass every range check below."""
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{where}: values must be finite")
-    return values
-
-
-def _validate_keys(parser: configparser.ConfigParser):
-    for section in parser.sections():
-        keys = set(parser.options(section))
-        if section == "species":
-            allowed = _SPECIES_KEYS
-        elif section == "gradient":
-            allowed = _GRADIENT_KEYS
-        elif section == "crystal" or section.startswith("case."):
-            allowed = _CASE_KEYS
-            keys = {k for k in keys if not _is_per_trap_freq(k)}
-        elif section == "cavity":
-            allowed = _CAVITY_KEYS
-        elif section == "sweep":
-            allowed = _SWEEP_KEYS
-        elif section == "protocol":
-            allowed = _PROTOCOL_KEYS
-        elif section == "run":
-            allowed = _RUN_KEYS
-        else:
-            raise ConfigError(f"unknown section [{section}]")
-        unknown = keys - allowed
-        if unknown:
-            raise ConfigError(
-                f"[{section}] unknown key '{sorted(unknown)[0]}'"
-            )
-
-
-def _is_per_trap_freq(key: str) -> bool:
-    parts = key.split("_")
-    return (
-        len(parts) == 4
-        and parts[0] == "nu"
-        and parts[1].isdigit()
-        and parts[2] == "mrad"
-        and parts[3] == "s"
-    )
+def _si(section, key, values: list[float]) -> list[float]:
+    """Scale by the key's SI factor, then reject nan and +-inf, overflow included."""
+    factor = _unit(section, key)
+    scaled = [v * factor for v in values]
+    if not all(math.isfinite(v) for v in scaled):
+        raise ConfigError(f"[{section}] {key}: values must be finite")
+    return scaled
 
 
 def load_config(text: str) -> ConfigData:
@@ -140,16 +154,19 @@ def load_config(text: str) -> ConfigData:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
-    _validate_keys(parser)
+    for section in parser.sections():
+        _keys(section)
+        for key in sorted(parser.options(section)):
+            _unit(section, key)
     return ConfigData(parser)
 
 
 def species_from(cfg: ConfigData) -> crystal.IonSpecies:
-    mass_amu = cfg.get_float("species", "mass_amu", default=171.0)
+    mass = cfg.get_float("species", "mass_amu", default=YB171_MASS)
     g = cfg.get_float("species", "g_factor", default=2.0)
     label = cfg.get("species", "label", default="Yb-171")
     try:
-        return crystal.IonSpecies(mass=mass_amu * ATOMIC_MASS, g_factor=g, label=label)
+        return crystal.IonSpecies(mass=mass, g_factor=g, label=label)
     except DomainError as exc:
         raise ConfigError(f"[species] {exc}") from None
 
@@ -168,37 +185,29 @@ def _gradient_for(cfg: ConfigData, section: str) -> crystal.FieldGradient:
 
 def _traps_for(cfg: ConfigData, section: str) -> tuple[crystal.TrapArray, float | None]:
     n = cfg.get_int(section, "n_ions", required=True)
-    if n is None or n < 1:
+    if n < 1:
         raise ConfigError(f"[{section}] n_ions must be >= 1")
-    d_um = cfg.get_float(section, "d_um")
-    centers_raw = cfg.get(section, "centers_um")
-    if (d_um is None) == (centers_raw is None):
+    spacing = cfg.get_float(section, "d_um")
+    centers = cfg.get_floats(section, "centers_um")
+    if (spacing is None) == (centers is None):
         raise ConfigError(f"[{section}] give exactly one of d_um or centers_um")
     nu_common = cfg.get_float(section, "nu_mrad_s")
-    freqs = []
-    for k in range(1, n + 1):
-        nu_k = cfg.get_float(section, f"nu_{k}_mrad_s")
-        if nu_k is None:
-            nu_k = nu_common
-        if nu_k is None:
-            raise ConfigError(
-                f"[{section}] needs nu_Mrad_s or nu_{k}_Mrad_s for trap {k}"
-            )
-        freqs.append(nu_k * MRAD_S)
+    freqs = [cfg.get_float(section, f"nu_{k}_mrad_s", default=nu_common)
+             for k in range(1, n + 1)]
+    if None in freqs:
+        k = freqs.index(None) + 1
+        raise ConfigError(f"[{section}] needs nu_Mrad_s or nu_{k}_Mrad_s for trap {k}")
+    if centers is not None and len(centers) != n:
+        raise ConfigError(f"[{section}] centers_um must list {n} values")
     try:
-        if d_um is not None:
-            traps = crystal.uniform_traps(n, d_um * MICRON, freqs)
+        if centers is None:
+            traps = crystal.uniform_traps(n, spacing, freqs)
         else:
-            centers = _finite([float(c) * MICRON for c in centers_raw.split(",")],
-                              f"[{section}] centers_um")
-            if len(centers) != n:
-                raise ConfigError(f"[{section}] centers_um must list {n} values")
             traps = crystal.TrapArray(tuple(centers), tuple(freqs))
     except DomainError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
-    except ValueError:
-        raise ConfigError(f"[{section}] centers_um: bad number list") from None
-    return traps, d_um
+    # the summary reports d_um as written: x * 1e-6 / 1e-6 is not always x
+    return traps, None if spacing is None else float(cfg.get(section, "d_um"))
 
 
 class CrystalCase:
@@ -214,24 +223,19 @@ class CrystalCase:
         self.refs = refs   # dict with SI-converted reference values
 
 
+_REFS = {"ref_delta_um": "delta_m", "ref_h_um": "h_m", "ref_eps_max": "eps_max",
+         "ref_j12_khz": "j12_rad_s", "ref_j13_khz": "j13_rad_s"}
+
+
 def _case_from_section(cfg: ConfigData, section: str, species) -> CrystalCase:
     traps, d_um = _traps_for(cfg, section)
     gradient = _gradient_for(cfg, section)
     eta = cfg.get_float(section, "eta_laser", default=0.1)
     refs = {}
-    ref_delta = cfg.get_float(section, "ref_delta_um")
-    if ref_delta is not None:
-        refs["delta_m"] = ref_delta * MICRON
-    ref_h = cfg.get_float(section, "ref_h_um")
-    if ref_h is not None:
-        refs["h_m"] = ref_h * MICRON
-    ref_eps = cfg.get_float(section, "ref_eps_max")
-    if ref_eps is not None:
-        refs["eps_max"] = ref_eps
-    for name in ("j12", "j13"):
-        ref_j = cfg.get_float(section, f"ref_{name}_khz")
-        if ref_j is not None:
-            refs[f"{name}_rad_s"] = ref_j * KRAD_S
+    for key, name in _REFS.items():
+        value = cfg.get_float(section, key)
+        if value is not None:
+            refs[name] = value
     label = section.split(".", 1)[1] if "." in section else section
     return CrystalCase(label, traps, gradient, species, eta, d_um, refs)
 
@@ -252,10 +256,10 @@ def crystal_cases(cfg: ConfigData) -> list[CrystalCase]:
 
 
 def cavity_from(cfg: ConfigData) -> cavity.CavitySetup:
-    omega = cfg.get_float("cavity", "omega_mrad_s", required=True) * MRAD_S
-    h = cfg.get_float("cavity", "h_mrad_s", required=True) * MRAD_S
-    delta = cfg.get_float("cavity", "delta_mrad_s", required=True) * MRAD_S
-    kappa = cfg.get_float("cavity", "kappa_mrad_s", required=True) * MRAD_S
+    omega, h, delta, kappa = (
+        cfg.get_float("cavity", key, required=True)
+        for key in ("omega_mrad_s", "h_mrad_s", "delta_mrad_s", "kappa_mrad_s")
+    )
     try:
         return cavity.symmetric_setup(omega, h, delta, kappa)
     except DomainError as exc:
@@ -263,24 +267,9 @@ def cavity_from(cfg: ConfigData) -> cavity.CavitySetup:
 
 
 def sweep_grid(cfg: ConfigData) -> tuple[list[float], list[float]]:
-    """(delta list, kappa grid), both rad/s.  Grid syntax: 'a,b,c' or 'start:stop:count'."""
-    deltas_raw = cfg.get("sweep", "delta_list_mrad_s", required=True)
-    kappas_raw = cfg.get("sweep", "kappa_grid_mrad_s", required=True)
-    try:
-        deltas = [float(x) * MRAD_S for x in deltas_raw.split(",")]
-    except ValueError:
-        raise ConfigError("[sweep] delta_list_Mrad_s: bad number list") from None
-    try:
-        if ":" in kappas_raw:
-            start, stop, count = kappas_raw.split(":")
-            ends = _finite([float(start), float(stop)], "[sweep] kappa_grid_Mrad_s")
-            kappas = [float(k) * MRAD_S for k in np.linspace(*ends, int(count))]
-        else:
-            kappas = [float(x) * MRAD_S for x in kappas_raw.split(",")]
-    except ValueError:
-        raise ConfigError("[sweep] kappa_grid_Mrad_s: bad grid") from None
-    _finite(deltas, "[sweep] delta_list_Mrad_s")
-    _finite(kappas, "[sweep] kappa_grid_Mrad_s")
+    """(delta list, kappa grid), both rad/s."""
+    deltas = cfg.get_floats("sweep", "delta_list_mrad_s", required=True)
+    kappas = cfg.get_floats("sweep", "kappa_grid_mrad_s", required=True)
     if not deltas or not kappas:
         raise ConfigError("[sweep] grids must be non-empty")
     if any(d <= 0 for d in deltas):

@@ -156,6 +156,10 @@ class CouplingMatrix:
 
     J: np.ndarray
 
+    def __post_init__(self):   # a gradient whose square overflows leaves nan
+        if not np.all(np.isfinite(self.J)):
+            raise DomainError("coupling matrix is not finite; is dB/dz too large?")
+
     @property
     def n_ions(self) -> int:
         return self.J.shape[0]
@@ -169,6 +173,8 @@ class EpsilonMatrix:
     eps_max: float = field(default=0.0)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.eps)):
+            raise DomainError("sideband matrix is not finite; is dB/dz too large?")
         object.__setattr__(self, "eps_max", float(np.max(self.eps)) if self.eps.size else 0.0)
 
 
@@ -220,6 +226,8 @@ def solve_equilibrium(traps: TrapArray, species: IonSpecies) -> Equilibrium:
         If any inter-ion gap falls below ``MIN_ION_GAP`` during iteration.
     SolverError
         If not converged after ``MAX_NEWTON_ITER`` iterations.
+    UnstableConfigurationError
+        If the Hessian is singular, e.g. when M nu^2 underflows to zero.
     """
     z = np.asarray(traps.centers, float).copy()
     zbar = np.asarray(traps.centers, float)
@@ -232,7 +240,10 @@ def solve_equilibrium(traps: TrapArray, species: IonSpecies) -> Equilibrium:
         if residual < FORCE_TOL:
             break
         hess = potential_hessian(z, traps, species)
-        step = np.linalg.solve(hess, -grad)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            raise UnstableConfigurationError("singular Hessian in the equilibrium solve") from None
         z = z + step
         if len(z) > 1 and np.min(np.diff(z)) < MIN_ION_GAP:
             raise InstabilityError(

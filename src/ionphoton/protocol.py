@@ -36,7 +36,7 @@ class ExperimentConfig:
     cavities: tuple            # one CavitySetup per ion
     cnot_active_on: str = "e"  # 'e' reproduces the outcome tables
     seed: int = 0
-    t0: float | None = None    # per-CNOT time; derived from couplings if None
+    t0: float | None = None    # per-CNOT time; the compiled CNOT duration if None
     t1: float = 0.0            # Hadamard + measurement time
     collection_efficiency: float = 1.0
 
@@ -205,20 +205,6 @@ def timing_estimate(n_ions: int, t0: float, t1: float) -> float:
     return (n_ions - 1) * t0 + t1
 
 
-def default_cnot_time(coupling: crystal.CouplingMatrix) -> float:
-    """Worst-case per-CNOT time pi / (2 min_k J_1k) for the gate chain.
-
-    The compiled sequences carry no extra echo time (spectator cancellation
-    happens inside the same delay), so this equals the compiled duration of
-    the slowest CNOT.
-    """
-    j = coupling.J
-    j_row = np.abs(j[0, 1:])
-    if np.any(j_row == 0):
-        raise UncompilableError("vanishing coupling from ion 1")
-    return math.pi / (2.0 * float(np.min(j_row)))
-
-
 def success_rate(n_ions: int, per_ion_p) -> tuple[float, float]:
     """(rate for one specific target photon state, rate for any outcome)."""
     p = [float(x) for x in per_ion_p]
@@ -303,7 +289,7 @@ def sample_run(cfg: ExperimentConfig, trials: int) -> RunReport:
         gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on).total_duration
         for t in range(1, cfg.n_ions)
     )
-    t0 = cfg.t0 if cfg.t0 is not None else default_cnot_time(coupling)
+    t0 = cfg.t0 if cfg.t0 is not None else t0_compiled
     rate_specific, rate_any = success_rate(cfg.n_ions, probs)
     return RunReport(
         trials=trials,

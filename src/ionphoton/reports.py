@@ -115,7 +115,7 @@ def couplings_bundle(cases, fmt_choice: str = "csv") -> ReportBundle:
         h = eq.gaps[0] if len(eq.gaps) else 0.0
         row += [h / MICRON, eps.eps_max, eta_eff,
                 str(eps.eps_max > crystal.EPSILON_CUTOFF).lower()]
-        row += [coupling.J[0, 1] / KRAD_S]
+        row += [coupling.J[0, 1] / KRAD_S if n >= 2 else ""]
         if max_n >= 3:
             if n >= 3:
                 row += [coupling.J[0, 2] / KRAD_S, coupling.J[1, 2] / KRAD_S]
@@ -127,7 +127,7 @@ def couplings_bundle(cases, fmt_choice: str = "csv") -> ReportBundle:
                 _rel_dev(abs(eq.deviations[0]), refs.get("delta_m")),
                 _rel_dev(h, refs.get("h_m")),
                 _rel_dev(eps.eps_max, refs.get("eps_max")),
-                _rel_dev(coupling.J[0, 1], refs.get("j12_rad_s")),
+                _rel_dev(coupling.J[0, 1] if n >= 2 else None, refs.get("j12_rad_s")),
                 _rel_dev(coupling.J[0, 2] if n >= 3 else None, refs.get("j13_rad_s")),
             ]
         summary_rows.append(row)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ionphoton import gates
+from ionphoton import config, gates
 from ionphoton.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,6 +77,27 @@ class TestCouplings:
         result = run_cli(["couplings", "--preset", "table1", "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
         assert "residual" in result.output
+
+    def test_centers_as_a_range(self, tmp_path):
+        # every number list takes 'a,b,c' or 'start:stop:count'
+        summaries = []
+        for name, where in (("d", "d_um = 6.0"), ("c", "centers_um = -3:3:2")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"[crystal]\nn_ions = 2\n{where}\nnu_Mrad_s = 5.55\n"
+                           "dBdz_T_per_m = 550.0\n")
+            result = run_cli(["couplings", "--config", str(cfg), "--out", str(tmp_path / name)])
+            assert result.exit_code == 0
+            summaries.append(read_csv(tmp_path / name / "summary.csv"))
+        (h_d, rows_d), (h_c, rows_c) = summaries
+        assert column(h_d, rows_d, "j12_kHz") == column(h_c, rows_c, "j12_kHz")
+
+    def test_single_ion_has_no_couplings(self, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("[crystal]\nn_ions = 1\nd_um = 6.0\nnu_Mrad_s = 5.55\ndBdz_T_per_m = 1.0\n")
+        result = run_cli(["couplings", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0
+        header, rows = read_csv(tmp_path / "o" / "summary.csv")
+        assert column(header, rows, "j12_kHz") == [""]
 
     def test_manifest_covers_all_files(self, tmp_path):
         run_cli(["couplings", "--preset", "table1", "--out", str(tmp_path / "m")])
@@ -269,6 +293,12 @@ _CAVITY_TEXT = (
     "[cavity]\nOmega_Mrad_s = 10.0\nh_Mrad_s = 138.0\ndelta_Mrad_s = 0.1\n"
     "kappa_Mrad_s = 960.0\n"
 )
+_SWEEP_TEXT = "[sweep]\nkappa_grid_Mrad_s = 0:1000:3\ndelta_list_Mrad_s = 0.1\n"
+_CRYSTAL_N2_TEXT = "[crystal]\nn_ions = 2\nd_um = 6.0\nnu_Mrad_s = 5.55\ndBdz_T_per_m = 550.0\n"
+_RUN_N2_TEXT = (
+    _CRYSTAL_N2_TEXT + "[cavity]\nOmega_Mrad_s = 10.0\nh_Mrad_s = 138.0\n"
+    "delta_Mrad_s = 0.1\nkappa_Mrad_s = 0.0\n[run]\ntrials = 20\nseed = 1\n"
+)
 
 
 class TestErrors:
@@ -292,7 +322,12 @@ class TestErrors:
          + "[sweep]\nkappa_grid_Mrad_s = 0:1000:3\ndelta_list_Mrad_s = 0.1\n"),
         ("couplings", "[crystal]\nn_ions = 2\nd_um = inf\nnu_Mrad_s = 5.55\n"
          "dBdz_T_per_m = 1.0\n"),
-    ], ids=["sweep-grid-nan", "kappa-nan", "d_um-inf"])
+        # finite as written, inf after the unit conversion
+        ("emission", _CAVITY_TEXT.replace("960.0", "1e305")
+         + "[sweep]\nkappa_grid_Mrad_s = 0:1000:3\ndelta_list_Mrad_s = 0.1\n"),
+        ("couplings", "[crystal]\nn_ions = 2\nd_um = 6.0\nnu_Mrad_s = 1e303\n"
+         "dBdz_T_per_m = 1.0\n"),
+    ], ids=["sweep-grid-nan", "kappa-nan", "d_um-inf", "kappa-overflow", "nu-overflow"])
     def test_non_finite_input_rejected(self, tmp_path, command, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -301,6 +336,56 @@ class TestErrors:
         assert result.output.startswith("config error:") and "finite" in result.output
         assert result.output.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,text", [
+        # kappa**2 overflows in the emission closed form
+        ("emission", _CAVITY_TEXT.replace("960.0", "1e300") + _SWEEP_TEXT),
+        ("run", _RUN_N2_TEXT.replace("kappa_Mrad_s = 0.0", "kappa_Mrad_s = 1e300")),
+        # omega_eff**2 underflows to zero
+        ("run", _RUN_N2_TEXT.replace("kappa_Mrad_s = 0.0", "kappa_Mrad_s = 960.0")
+         .replace("delta_Mrad_s = 0.1", "delta_Mrad_s = 1e300")),
+        ("emission", _CAVITY_TEXT + "[sweep]\nkappa_grid_Mrad_s = 960\ndelta_list_Mrad_s = 1e300\n"),
+        # M nu^2 underflows to zero: singular Hessian
+        ("couplings", _CRYSTAL_N2_TEXT.replace("5.55", "1e-300")),
+        ("gates", _CRYSTAL_N2_TEXT.replace("5.55", "1e-300")),
+        ("run", _RUN_N2_TEXT.replace("5.55", "1e-300")),
+    ], ids=["emission-kappa-1e300", "run-kappa-1e300", "run-delta-1e300",
+            "emission-delta-1e300", "couplings-nu-1e-300", "gates-nu-1e-300", "run-nu-1e-300"])
+    def test_finite_input_beyond_float_range_exits_3(self, tmp_path, command, text):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(text)
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3
+        assert result.output.startswith("error:") and result.output.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["couplings", "gates", "run"])
+    def test_overflowing_couplings_exit_3(self, tmp_path, command):
+        # finite, but (d omega/dz)^2 overflows and J turns to nan
+        cfg = tmp_path / "grad.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace("550.0", "1e160"))
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3
+        assert result.output.startswith("error:") and "not finite" in result.output
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["couplings", "--seed", "1"], ["emission", "--seed", "1"],
+        ["gates", "--seed", "1"], ["gates", "--format", "json"],
+    ], ids=["couplings-seed", "emission-seed", "gates-seed", "gates-format"])
+    def test_option_of_another_command_is_a_usage_error(self, tmp_path, args):
+        result = run_cli([args[0], "--preset", "table1", "--out", str(tmp_path / "o")] + args[1:])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_utf8(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes((_CRYSTAL_N2_TEXT + "# spacing in \xb5m\n").encode("latin-1"))
+        result = run_cli(["couplings", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output.startswith("config error:") and "UTF-8" in result.output
 
     def test_missing_key_reports_section_and_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -349,3 +434,70 @@ class TestGolden:
                     assert g == e
                     continue
                 assert g_val == pytest.approx(e_val, rel=1e-9, abs=1e-300)
+
+
+# A valid two-ion setup for every command; the fuzz edits, adds or drops keys.
+_FUZZ_BASE = {
+    ("crystal", "n_ions"): "2", ("crystal", "d_um"): "6.0",
+    ("crystal", "nu_mrad_s"): "5.55", ("crystal", "dbdz_t_per_m"): "550.0",
+    ("cavity", "omega_mrad_s"): "10.0", ("cavity", "h_mrad_s"): "138.0",
+    ("cavity", "delta_mrad_s"): "0.1", ("cavity", "kappa_mrad_s"): "960.0",
+    ("sweep", "kappa_grid_mrad_s"): "0:1000:5", ("sweep", "delta_list_mrad_s"): "0.1,1.0",
+    ("run", "trials"): "20",
+}
+_FUZZ_KEYS = sorted(
+    {(section, key) for section, keys in config.SCHEMA.items() for key in keys}
+    | {("crystal", "nu_2_mrad_s"), ("case.1", "n_ions"), ("case.1", "d_um")}
+)
+_numbers = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e160, 1e300, 1e305, 1.7e308]),
+).map(repr)
+# Integers only come from -1..8, so n_ions <= 8 and trials <= 20 always.
+_values = st.one_of(
+    _numbers,
+    st.integers(-1, 8).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "abc", "", "e", "g"]),
+    st.lists(_numbers, min_size=1, max_size=4).map(",".join),
+    st.tuples(_numbers, _numbers, st.integers(-1, 50)).map(lambda t: "%s:%s:%d" % t),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["couplings", "emission", "gates", "run"]),
+    edits=st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.none() | _values, max_size=4),
+)
+@example(command="emission", edits={("cavity", "kappa_mrad_s"): "1e305"})
+@example(command="couplings", edits={("crystal", "nu_mrad_s"): "1e303"})
+@example(command="emission", edits={("cavity", "kappa_mrad_s"): "1e300"})
+@example(command="run", edits={("cavity", "kappa_mrad_s"): "1e300"})
+@example(command="run", edits={("cavity", "delta_mrad_s"): "1e300"})
+@example(command="emission", edits={("sweep", "delta_list_mrad_s"): "1e300",
+                                    ("sweep", "kappa_grid_mrad_s"): "960"})
+@example(command="emission", edits={("cavity", "omega_mrad_s"): "5e-324"})
+@example(command="couplings", edits={("crystal", "nu_mrad_s"): "1e-300"})
+@example(command="gates", edits={("crystal", "nu_mrad_s"): "1e-300"})
+@example(command="run", edits={("crystal", "nu_mrad_s"): "1e-300"})
+@example(command="couplings", edits={("crystal", "dbdz_t_per_m"): "1e160"})
+@example(command="gates", edits={("crystal", "dbdz_t_per_m"): "1e160"})
+@example(command="run", edits={("crystal", "dbdz_t_per_m"): "1e160"})
+@example(command="couplings", edits={("crystal", "n_ions"): "1"})
+def test_fuzzed_config_exits_with_a_documented_code(command, edits):
+    entries = {**_FUZZ_BASE, **edits}
+    if entries[("run", "trials")] is None:   # the default, 100000 trials, takes seconds
+        entries[("run", "trials")] = "20"
+    sections = {}
+    for (section, key), value in entries.items():
+        if value is not None:
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        result = run_cli([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+    assert result.exit_code in (0, 2, 3), result.output
+    if result.exit_code == 2:
+        assert result.output.startswith("config error:") and result.output.count("\n") == 1
+    if result.exit_code == 3:
+        assert result.output.startswith("error:") and result.output.count("\n") == 1

@@ -250,9 +250,11 @@ class TestTimingAndRates:
         assert protocol.timing_estimate(2, t0, 0.0) == pytest.approx(t0)
 
     def test_default_time_from_couplings(self):
-        coupling = protocol.chain_coupling(make_config(2))
-        t0 = protocol.default_cnot_time(coupling)
-        assert t0 == pytest.approx(math.pi / (2 * coupling.J[0, 1]), rel=1e-12)
+        cfg = make_config(2)
+        report = protocol.sample_run(cfg, 10)
+        bare = math.pi / (2 * protocol.chain_coupling(cfg).J[0, 1])
+        assert report.t0_s == report.t0_compiled_s
+        assert report.t0_s == pytest.approx(bare, rel=1e-12)
 
     def test_success_rates(self):
         per_state, any_state = protocol.success_rate(5, [1.0] * 5)
