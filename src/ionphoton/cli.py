@@ -100,11 +100,10 @@ def emission(cfg, fmt):
     """Photon-emission success-rate sweep over (detuning, decay-rate)."""
     setup = config.cavity_from(cfg)
     deltas, kappas = config.sweep_grid(cfg)
-    omega = setup.channel_g.omega_laser
-    h = setup.channel_g.g_cav
+    omega, h = setup.omega_laser, setup.g_cav
     sweep = cavity.fig2_sweep(omega, h, deltas, kappas)
     summary = [
-        [p.delta, cavity.effective_rabi(cavity.RamanChannel(omega, h, p.delta)),
+        [p.delta, cavity.effective_rabi(omega, h, p.delta),
          p.kappa, p.tau_star, p.p_single, p.p_pair]
         for p in cavity.fig2_sweep(omega, h, deltas, [setup.kappa])
     ]

@@ -261,7 +261,7 @@ def cavity_from(cfg: ConfigData) -> cavity.CavitySetup:
         for key in ("omega_mrad_s", "h_mrad_s", "delta_mrad_s", "kappa_mrad_s")
     )
     try:
-        return cavity.symmetric_setup(omega, h, delta, kappa)
+        return cavity.CavitySetup(omega, h, delta, kappa)
     except DomainError as exc:
         raise ConfigError(f"[cavity] {exc}") from None
 

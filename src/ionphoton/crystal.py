@@ -227,33 +227,42 @@ def solve_equilibrium(traps: TrapArray, species: IonSpecies) -> Equilibrium:
     SolverError
         If not converged after ``MAX_NEWTON_ITER`` iterations.
     UnstableConfigurationError
-        If the Hessian is singular, e.g. when M nu^2 underflows to zero.
+        If the Hessian is singular (M nu^2 underflows to zero) or a force
+        or stiffness leaves the float range (M nu^2 overflows).
     """
     z = np.asarray(traps.centers, float).copy()
     zbar = np.asarray(traps.centers, float)
     scale = max(np.max(np.abs(zbar)), np.min(np.diff(zbar)) if len(z) > 1 else abs(zbar[0]), 1e-9)
 
     residual = np.inf
-    for _ in range(MAX_NEWTON_ITER):
-        grad = _potential_gradient(z, traps, species)
-        residual = float(np.max(np.abs(grad)))
-        if residual < FORCE_TOL:
-            break
-        hess = potential_hessian(z, traps, species)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            raise UnstableConfigurationError("singular Hessian in the equilibrium solve") from None
-        z = z + step
-        if len(z) > 1 and np.min(np.diff(z)) < MIN_ION_GAP:
-            raise InstabilityError(
-                f"ion gap fell below {MIN_ION_GAP:.0e} m during iteration"
-            )
-        if float(np.max(np.abs(step))) < STEP_TOL * scale:
-            residual = float(np.max(np.abs(_potential_gradient(z, traps, species))))
-            break
-    else:
-        raise SolverError("equilibrium solver did not converge", residual)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(MAX_NEWTON_ITER):
+                grad = _potential_gradient(z, traps, species)
+                residual = float(np.max(np.abs(grad)))
+                if residual < FORCE_TOL:
+                    break
+                hess = potential_hessian(z, traps, species)
+                try:
+                    step = np.linalg.solve(hess, -grad)
+                except np.linalg.LinAlgError:
+                    raise UnstableConfigurationError(
+                        "singular Hessian in the equilibrium solve") from None
+                z = z + step
+                if len(z) > 1 and np.min(np.diff(z)) < MIN_ION_GAP:
+                    raise InstabilityError(
+                        f"ion gap fell below {MIN_ION_GAP:.0e} m during iteration"
+                    )
+                if float(np.max(np.abs(step))) < STEP_TOL * scale:
+                    residual = float(np.max(np.abs(_potential_gradient(z, traps, species))))
+                    break
+            else:
+                raise SolverError("equilibrium solver did not converge", residual)
+    except FloatingPointError as exc:
+        raise UnstableConfigurationError(
+            f"{exc} in the equilibrium solve: the trap stiffness M nu^2 or the "
+            "Coulomb force at the trap spacing is beyond the float range"
+        ) from None
 
     if len(z) > 1 and np.any(np.diff(z) <= 0):
         raise InstabilityError("ion ordering not preserved at solution")
@@ -299,8 +308,9 @@ def coupling_matrix(
     """
     dw = grad.domega_dz(species)
     s = modes.mode_matrix
-    weight = dw * dw * modes.spreads**2 / modes.mode_freqs   # per mode
-    j = (s.T * weight) @ s
+    with np.errstate(over="ignore", invalid="ignore"):   # CouplingMatrix rejects nan
+        weight = dw * dw * modes.spreads**2 / modes.mode_freqs   # per mode
+        j = (s.T * weight) @ s
     j = 0.5 * (j + j.T)                                      # exact symmetry
     np.fill_diagonal(j, 0.0)
     return CouplingMatrix(J=j)

@@ -65,17 +65,18 @@ def emission_stage(cfg: ExperimentConfig):
 
     Returns the spin-photon register conditioned on success at every site,
     the product of per-site branch states (|g>|s0> + |e>|s+>)/sqrt(2),
-    together with the per-ion success probabilities.
+    together with the per-ion success probabilities.  The site state is a
+    constant, and exact: both qubit levels share one Raman channel, so only
+    the success probability depends on the cavity.
     """
-    probs = []
     site = np.zeros(4, complex)
     site[gates.bitstring_index((0, 0))] = 1.0 / math.sqrt(2)   # |e>|s+>
     site[gates.bitstring_index((1, 1))] = 1.0 / math.sqrt(2)   # |g>|s0>
-    for setup in cfg.cavities:
-        result = cavity.emission_result(setup)
-        probs.append(result.p_success * cfg.collection_efficiency)
-    state = gates.product_state([site] * cfg.n_ions)
-    return state, probs
+    probs = [
+        cavity.emission_result(setup).p_success * cfg.collection_efficiency
+        for setup in cfg.cavities
+    ]
+    return gates.product_state([site] * cfg.n_ions), probs
 
 
 def chain_coupling(cfg: ExperimentConfig) -> crystal.CouplingMatrix:

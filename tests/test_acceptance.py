@@ -129,7 +129,7 @@ def test_criterion_3_emission_curves():
             failures.append(f"curves not strictly ordered at kappa={kappa:.3g}")
 
     low = cavity.fig2_sweep(10e6, 138e6, [0.001e6], kappas)
-    w = cavity.effective_rabi(cavity.RamanChannel(10e6, 138e6, 0.001e6))
+    w = cavity.effective_rabi(10e6, 138e6, 0.001e6)
     for r in low:
         closed = math.exp(-r.kappa * r.tau_star)
         if abs(r.p_single - closed) > 1e-12 * closed:
@@ -216,7 +216,7 @@ def test_criterion_5_gate_identity(tmp_path):
 
 
 def _ideal_config(n_ions: int, seed: int = 1) -> protocol.ExperimentConfig:
-    setup = cavity.symmetric_setup(10e6, 138e6, 0.1e6, 0.0)
+    setup = cavity.CavitySetup(10e6, 138e6, 0.1e6, 0.0)
     if n_ions == 2:
         traps = crystal.uniform_traps(2, 6e-6, 5.55e6)
         grad = crystal.FieldGradient(550.0)

@@ -134,6 +134,34 @@ class TestEmission:
         # the curve is "almost 1" throughout but crosses 0.999 near 8.8e8
         assert min(p_single) >= 0.9988
 
+    def test_underflowing_rabi_rate_squared(self, tmp_path):
+        # omega_eff = 1.38e-291 rad/s: omega_eff^2 underflows, yet P(kappa = 0) is 1
+        cfg = tmp_path / "tiny_rabi.cfg"
+        cfg.write_text(_CAVITY_TEXT.replace("960.0", "0.0")
+                       + "[sweep]\nkappa_grid_Mrad_s = 0\ndelta_list_Mrad_s = 1e300\n")
+        result = run_cli(["emission", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0
+        for name in ("sweep.csv", "summary.csv"):
+            header, rows = read_csv(tmp_path / "o" / name)
+            assert [float(v) for v in column(header, rows, "p_single")] == [1.0]
+
+    def test_tiny_rates_reach_the_closed_form_optimum(self, tmp_path):
+        # omega_eff = kappa = 1e-200 rad/s: underdamped, P* = exp(-kappa tau*) = 0.2984
+        cfg = tmp_path / "tiny_rates.cfg"
+        cfg.write_text(
+            "[cavity]\nOmega_Mrad_s = 1e-103\nh_Mrad_s = 1e-103\ndelta_Mrad_s = 1\n"
+            "kappa_Mrad_s = 1e-206\n[sweep]\nkappa_grid_Mrad_s = 1e-206\n"
+            "delta_list_Mrad_s = 1\n"
+        )
+        result = run_cli(["emission", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0
+        header, rows = read_csv(tmp_path / "o" / "summary.csv")
+        kappa, tau, p = (float(column(header, rows, name)[0])
+                         for name in ("kappa_rad_s", "tau_star_s", "p_single"))
+        assert tau == pytest.approx(1.2092e200, rel=1e-4)
+        assert p == pytest.approx(math.exp(-kappa * tau), rel=1e-12)
+        assert p == pytest.approx(0.2984, abs=1e-4)
+
     def test_missing_sweep_section(self, tmp_path):
         cfg = tmp_path / "nosweep.cfg"
         cfg.write_text(
@@ -351,6 +379,7 @@ class TestErrors:
         ("run", _RUN_N2_TEXT.replace("5.55", "1e-300")),
     ], ids=["emission-kappa-1e300", "run-kappa-1e300", "run-delta-1e300",
             "emission-delta-1e300", "couplings-nu-1e-300", "gates-nu-1e-300", "run-nu-1e-300"])
+    @pytest.mark.filterwarnings("error")
     def test_finite_input_beyond_float_range_exits_3(self, tmp_path, command, text):
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(text)
@@ -360,6 +389,7 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["couplings", "gates", "run"])
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_couplings_exit_3(self, tmp_path, command):
         # finite, but (d omega/dz)^2 overflows and J turns to nan
         cfg = tmp_path / "grad.cfg"
@@ -367,6 +397,18 @@ class TestErrors:
         result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
         assert result.output.startswith("error:") and "not finite" in result.output
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["couplings", "gates", "run"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trap_stiffness_exits_3(self, tmp_path, command):
+        # finite, but M nu^2 overflows in the equilibrium solve
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace("5.55", "1e160"))
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3
+        assert result.output.startswith("error:") and "M nu^2" in result.output
         assert result.output.count("\n") == 1
         assert not (tmp_path / "o").exists()
 

@@ -16,11 +16,11 @@ YB = crystal.IonSpecies()
 
 
 def ideal_cavity():
-    return cavity.symmetric_setup(10e6, 138e6, 0.1e6, 0.0)
+    return cavity.CavitySetup(10e6, 138e6, 0.1e6, 0.0)
 
 
 def lossy_cavity():
-    return cavity.symmetric_setup(10e6, 138e6, 0.1e6, 960e6)
+    return cavity.CavitySetup(10e6, 138e6, 0.1e6, 960e6)
 
 
 def make_config(n_ions, setup=None, **kwargs):
@@ -41,27 +41,6 @@ def make_config(n_ions, setup=None, **kwargs):
     )
 
 
-class TestPrepare:
-    def test_single_ion(self):
-        state = cavity.initial_superposition()
-        amps = state.amps
-        assert amps[0] == pytest.approx(1 / SQ2)
-        assert amps[2] == pytest.approx(1 / SQ2)
-        assert amps[1] == 0 and amps[3] == 0
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-14)
-
-    def test_two_ion_tensor_square(self):
-        amps = cavity.initial_superposition().amps
-        joint = np.kron(amps, amps)
-        populated = joint[np.abs(joint) > 0]
-        assert len(populated) == 4
-        assert np.allclose(populated, 0.5)
-
-    def test_reduced_state_is_balanced(self):
-        amps = cavity.initial_superposition().amps
-        assert abs(amps[0]) == pytest.approx(abs(amps[2]))
-
-
 class TestEmission:
     def test_ideal_cavities_succeed_surely(self):
         state, probs = protocol.emission_stage(make_config(2))
@@ -71,6 +50,12 @@ class TestEmission:
     def test_reference_pair_probability(self):
         _, probs = protocol.emission_stage(make_config(2, setup=lossy_cavity()))
         assert math.prod(probs) == pytest.approx(0.807482, abs=1e-6)
+
+    @pytest.mark.parametrize("setup", [ideal_cavity(), lossy_cavity()], ids=["ideal", "lossy"])
+    def test_run_probability_is_the_sweep_probability(self, setup):
+        report = protocol.sample_run(make_config(2, setup=setup), 10)
+        row = cavity.fig2_sweep(setup.omega_laser, setup.g_cav, [setup.detuning], [setup.kappa])[0]
+        assert report.per_ion_p == (row.p_single, row.p_single)
 
     def test_no_cross_polarization_amplitude(self):
         state, _ = protocol.emission_stage(make_config(2))
@@ -296,16 +281,6 @@ class TestExpressionFormat:
 
     def test_zero_state(self):
         assert protocol.format_photon_state(np.zeros(4)) == "0"
-
-
-class TestEmissionResultBranch:
-    def test_symmetric_setup_balanced_branch(self):
-        result = cavity.emission_result(lossy_cavity())
-        (label_g, a_g), (label_e, a_e) = result.conditional_state
-        assert label_g == "g,s0" and label_e == "e,s+"
-        assert a_g == pytest.approx(1 / SQ2, abs=1e-12)
-        assert a_e == pytest.approx(1 / SQ2, abs=1e-12)
-        assert abs(a_g) ** 2 + abs(a_e) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 6])
