@@ -207,7 +207,10 @@ def potential_hessian(z, traps: TrapArray, species: IonSpecies) -> np.ndarray:
         return np.array([[species.mass * nu2[0]]])
     diff = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(diff, np.inf)
-    inv3 = 1.0 / diff**3
+    # a gap beyond ~1e102 m overflows diff**3 to inf, and 1/inf = 0 is the
+    # exact limit of the vanishing Coulomb stiffness: not an error
+    with np.errstate(over="ignore"):
+        inv3 = 1.0 / diff**3
     hess = -2.0 * K_COULOMB * inv3
     np.fill_diagonal(hess, species.mass * nu2 + 2.0 * K_COULOMB * np.sum(inv3, axis=1))
     return hess

@@ -1,11 +1,10 @@
-"""Statevector engine for ion ⊗ photon qubit registers and a pulse compiler.
+"""Statevector engine for the ion register and a pulse compiler.
 
 State layout
 ------------
-Each of the N sites carries a spin qubit {|e>, |g>} and a photon
-polarization qubit {|s+>, |s0>}.  Amplitude index bits run from the most
-significant: [spin_1, photon_1, spin_2, photon_2, ...], with |e> -> 0,
-|g> -> 1, |s+> -> 0, |s0> -> 1.  Dimension is 4^N, capped at N = 6.
+Each of the N ions carries a spin qubit {|e>, |g>}.  Amplitude index bits
+run from the most significant: ion 1 first, with |e> -> 0, |g> -> 1.
+Dimension is 2^N, capped at N = 6.
 
 Pauli operators act on spin qubits in the {|e>, |g>} basis with
 sigma_z = |e><e| - |g><g|.  The always-on interaction is
@@ -56,31 +55,7 @@ HADAMARD = np.array([[-1, 1], [1, 1]], complex) / math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------
-# state container and primitive operations
-
-
-@dataclass
-class SpinPhotonState:
-    """Complex statevector over N spin ⊗ photon qubit pairs."""
-
-    amplitudes: np.ndarray
-    n_ions: int
-
-    def __post_init__(self):
-        if not 1 <= self.n_ions <= MAX_IONS:
-            raise DomainError(f"ion count must be in 1..{MAX_IONS}")
-        amps = np.asarray(self.amplitudes, complex)
-        if amps.shape != (4**self.n_ions,):
-            raise DomainError(
-                f"expected {4**self.n_ions} amplitudes, got {amps.shape}"
-            )
-        self.amplitudes = amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "SpinPhotonState":
-        return SpinPhotonState(self.amplitudes.copy(), self.n_ions)
+# primitive operations
 
 
 def _coupling_array(coupling) -> np.ndarray:
@@ -100,10 +75,6 @@ def _apply_site_op(amps: np.ndarray, pos: int, op: np.ndarray):
     return np.einsum("ab,ibj->iaj", op, work).reshape(amps.shape)
 
 
-def _spin_bit(ion: int) -> int:
-    return 2 * ion
-
-
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     """exp(-i angle/2 sigma_axis)."""
     if axis not in _SIGMA:
@@ -112,22 +83,12 @@ def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * _SIGMA[axis]
 
 
-def apply_rotation(
-    state: SpinPhotonState, ion: int, axis: str, angle: float
-) -> SpinPhotonState:
-    """Rotate one ion's spin qubit; photons untouched, norm preserved."""
-    if not 0 <= ion < state.n_ions:
+def apply_hadamard(amps: np.ndarray, ion: int) -> np.ndarray:
+    """Hadamard (|g> -> (|g>+|e>)/sqrt2, |e> -> (|g>-|e>)/sqrt2) on one ion
+    of the register's leading axis."""
+    if not 0 <= ion < len(amps).bit_length() - 1:
         raise DomainError(f"ion index {ion} out of range")
-    amps = _apply_site_op(state.amplitudes, _spin_bit(ion), rotation_matrix(axis, angle))
-    return SpinPhotonState(amps, state.n_ions)
-
-
-def apply_hadamard(state: SpinPhotonState, ion: int) -> SpinPhotonState:
-    """Hadamard (|g> -> (|g>+|e>)/sqrt2, |e> -> (|g>-|e>)/sqrt2) on one ion."""
-    if not 0 <= ion < state.n_ions:
-        raise DomainError(f"ion index {ion} out of range")
-    amps = _apply_site_op(state.amplitudes, _spin_bit(ion), HADAMARD)
-    return SpinPhotonState(amps, state.n_ions)
+    return _apply_site_op(amps, ion, HADAMARD)
 
 
 def _ising_phases(j: np.ndarray, t: float, n_ions: int) -> np.ndarray:
@@ -135,27 +96,6 @@ def _ising_phases(j: np.ndarray, t: float, n_ions: int) -> np.ndarray:
     configs = np.arange(2**n_ions)
     z = 1.0 - 2.0 * ((configs[:, None] >> (n_ions - 1 - np.arange(n_ions))) & 1)
     return np.exp(0.5j * t * ((z @ np.triu(j, 1)) * z).sum(1))
-
-
-def ising_evolve(state: SpinPhotonState, coupling, t: float) -> SpinPhotonState:
-    """Free evolution under the always-on zz couplings for time t."""
-    return apply_sequence(state, PulseSequence((IsingDelay(t),)), coupling)
-
-
-def bitstring_index(bits) -> int:
-    """Index of a basis state from its bit list (most significant first)."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
-
-
-def product_state(site_vectors) -> SpinPhotonState:
-    """Tensor product of per-site 4-vectors ordered (spin, photon) bits."""
-    amps = np.array([1.0 + 0j])
-    for v in site_vectors:
-        amps = np.kron(amps, np.asarray(v, complex))
-    return SpinPhotonState(amps, len(site_vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -204,82 +144,45 @@ class PulseSequence:
     def total_duration(self) -> float:
         return sum(e.duration for e in self.elements if isinstance(e, IsingDelay))
 
-    def serialize(self) -> str:
-        """One element per line: ROT | ZZ | PHASE; floats round-trip exactly."""
-        lines = []
-        for e in self.elements:
-            if isinstance(e, Rotation):
-                lines.append(f"ROT {e.ion} {e.axis} {e.angle!r}")
-            elif isinstance(e, IsingDelay):
-                lines.append(f"ZZ {e.duration!r}")
-            else:
-                lines.append(f"PHASE {e.angle!r}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
-    @staticmethod
-    def parse(text: str) -> "PulseSequence":
-        elements = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "ROT" and len(parts) == 4:
-                    elements.append(Rotation(int(parts[1]), parts[2], float(parts[3])))
-                elif parts[0] == "ZZ" and len(parts) == 2:
-                    elements.append(IsingDelay(float(parts[1])))
-                elif parts[0] == "PHASE" and len(parts) == 2:
-                    elements.append(GlobalPhase(float(parts[1])))
-                else:
-                    raise ValueError
-            except ValueError:
-                raise DomainError(f"bad pulse line {lineno}: {line!r}") from None
-        return PulseSequence(tuple(elements))
-
-
-def _run_elements(amps: np.ndarray, stride: int, seq: PulseSequence, j: np.ndarray):
+def _run_elements(amps: np.ndarray, seq: PulseSequence, j: np.ndarray):
     """Apply ``seq`` in chronological order along the leading axis of ``amps``.
 
-    Ion i's spin is bit ``stride * i`` of that axis: stride 2 for the
-    interleaved spin-photon register, 1 for the bare ion space.  Trailing
-    axes (the columns of a unitary) ride along.
+    Ion i (from 0) is bit i of that axis, counted from the most significant;
+    trailing axes (the columns of a unitary) ride along.
     """
     n = j.shape[0]
     for e in reversed(seq.elements):
         if isinstance(e, Rotation):
             if not 0 <= e.ion < n:
                 raise DomainError(f"ion index {e.ion} out of range")
-            amps = _apply_site_op(amps, stride * e.ion, rotation_matrix(e.axis, e.angle))
+            amps = _apply_site_op(amps, e.ion, rotation_matrix(e.axis, e.angle))
         elif isinstance(e, IsingDelay):
-            # phases indexed by the spin bits; photon bits and columns broadcast
-            phases = _ising_phases(j, e.duration, n).reshape((2, 1) * n + (1,))
-            work = amps.reshape((2, 1 << (stride - 1)) * n + (-1,))
-            amps = (work * phases).reshape(amps.shape)
+            phases = _ising_phases(j, e.duration, n)
+            amps = (amps.reshape(2**n, -1) * phases[:, None]).reshape(amps.shape)
         else:
             amps = amps * np.exp(1j * e.angle)
     return amps
 
 
-def apply_sequence(
-    state: SpinPhotonState, seq: PulseSequence, coupling
-) -> SpinPhotonState:
-    """Run a pulse sequence on a spin-photon state (chronological order)."""
+def apply_sequence(amps: np.ndarray, seq: PulseSequence, coupling) -> np.ndarray:
+    """Run a pulse sequence on ion-register amplitudes (chronological order)."""
     j = _coupling_array(coupling)
-    if j.shape[0] != state.n_ions:
+    amps = np.asarray(amps, complex)
+    if amps.shape[0] != 2 ** j.shape[0]:
         raise DomainError("coupling dimension does not match state")
-    return SpinPhotonState(_run_elements(state.amplitudes, 2, seq, j), state.n_ions)
+    return _run_elements(amps, seq, j)
 
 
 def sequence_unitary(seq: PulseSequence, coupling, n_ions: int | None = None) -> np.ndarray:
-    """Dense unitary of a sequence over the ion-qubit subspace.
+    """Dense unitary of a sequence over the ion register.
 
     Column k is the sequence applied to ion basis state k.
     """
     j = _coupling_array(coupling)
     if n_ions not in (None, j.shape[0]):
         raise DomainError("coupling dimension does not match n_ions")
-    return _run_elements(np.eye(2 ** j.shape[0], dtype=complex), 1, seq, j)
+    return _run_elements(np.eye(2 ** j.shape[0], dtype=complex), seq, j)
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -383,7 +286,10 @@ def compile_refocused_zz(coupling, pair: tuple[int, int], target_angle: float) -
         raise UncompilableError(f"coupling J[{i},{k}] is zero")
 
     theta, shifts = _wrap_zz_angle(target_angle)
-    total_time = 2.0 * theta / j[i, k]
+    with np.errstate(over="ignore"):
+        total_time = 2.0 * theta / j[i, k]
+    if not math.isfinite(total_time):
+        raise UncompilableError(f"coupling J[{i},{k}] = {j[i, k]:.3g}: gate time overflows")
     spectators = [q for q in range(n) if q not in (i, k)]
 
     chronological: list[PulseElement] = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cavity, crystal, gates
-from .errors import DomainError, UncompilableError
+from .errors import DomainError
 
 PHOTON_CHARS = {0: "s+", 1: "s0"}
 SPIN_CHARS = {0: "e", 1: "g"}
@@ -60,23 +60,18 @@ class ExperimentConfig:
         return self.traps.n_ions
 
 
-def emission_stage(cfg: ExperimentConfig):
-    """Conditional emission at each ion's optimal stop time.
+def emission_stage(cfg: ExperimentConfig) -> list:
+    """Per-ion success probabilities of conditional emission at each ion's
+    optimal stop time.
 
-    Returns the spin-photon register conditioned on success at every site,
-    the product of per-site branch states (|g>|s0> + |e>|s+>)/sqrt(2),
-    together with the per-ion success probabilities.  The site state is a
-    constant, and exact: both qubit levels share one Raman channel, so only
-    the success probability depends on the cavity.
+    On success every site is (|g>|s0> + |e>|s+>)/sqrt(2), whatever the
+    cavity: both qubit levels share one Raman channel, so only the success
+    probability depends on it.
     """
-    site = np.zeros(4, complex)
-    site[gates.bitstring_index((0, 0))] = 1.0 / math.sqrt(2)   # |e>|s+>
-    site[gates.bitstring_index((1, 1))] = 1.0 / math.sqrt(2)   # |g>|s0>
-    probs = [
+    return [
         cavity.emission_result(setup).p_success * cfg.collection_efficiency
         for setup in cfg.cavities
     ]
-    return gates.product_state([site] * cfg.n_ions), probs
 
 
 def chain_coupling(cfg: ExperimentConfig) -> crystal.CouplingMatrix:
@@ -86,25 +81,16 @@ def chain_coupling(cfg: ExperimentConfig) -> crystal.CouplingMatrix:
     return crystal.coupling_matrix(modes, cfg.gradient, cfg.species)
 
 
-def entangle_stage(
-    state: gates.SpinPhotonState,
-    cfg: ExperimentConfig,
-    coupling: crystal.CouplingMatrix | None = None,
-) -> gates.SpinPhotonState:
-    """CNOT from ion 1 to ions 2..N, then Hadamard on ion 1.
+def entangle_stage(cnots, coupling) -> np.ndarray:
+    """Ion unitary U = H_1 C_{1->N} ... C_{1->2}.
 
-    Every CNOT runs as its compiled pulse sequence over the actual coupling
-    matrix, with the spectator couplings refocused away.
+    ``cnots`` are the compiled CNOTs from ion 1 to ions 2..N in that order;
+    they run as one pulse sequence over the actual coupling matrix, with
+    the spectator couplings refocused away.
     """
-    if coupling is None:
-        coupling = chain_coupling(cfg)
-    j = coupling.J
-    for target in range(1, cfg.n_ions):
-        if j[0, target] == 0:
-            raise UncompilableError(f"J[0,{target}] = 0: CNOT unavailable")
-        seq = gates.cnot_sequence(j, 0, target, active_on=cfg.cnot_active_on)
-        state = gates.apply_sequence(state, seq, j)
-    return gates.apply_hadamard(state, 0)
+    elements = tuple(e for seq in reversed(cnots) for e in seq.elements)
+    u = gates.sequence_unitary(gates.PulseSequence(elements), coupling)
+    return gates.apply_hadamard(u, 0)
 
 
 @dataclass(frozen=True)
@@ -170,28 +156,26 @@ def format_photon_state(amps: np.ndarray) -> str:
     return " ".join(parts)
 
 
-def outcome_table(state: gates.SpinPhotonState) -> OutcomeTable:
-    """Project onto every ion-basis string and normalize the photon rest."""
-    n = state.n_ions
-    tensor = state.amplitudes.reshape([2] * (2 * n))
-    # move spin axes first, photon axes last
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    grouped = np.transpose(tensor, order).reshape(2**n, 2**n)
+def outcome_table(u: np.ndarray) -> OutcomeTable:
+    """Heralded photon state of every ion-basis string.
+
+    After emission each site is (|g>|s0> + |e>|s+>)/sqrt2, so the photons
+    copy the ion register.  The ion unitary U then leaves
+    sum_{s,x} U[s,x] |s>|x> / 2^(N/2): detecting ions s heralds the photon
+    state in row s of U, with probability |U[s]|^2 / 2^N.
+    """
+    n = len(u).bit_length() - 1
     rows = []
     for s in range(2**n):
-        photon = grouped[s].copy()
-        prob = float(np.sum(np.abs(photon) ** 2))
-        if prob > 0:
-            photon /= math.sqrt(prob)
-        ions = "".join(
-            SPIN_CHARS[(s >> (n - 1 - i)) & 1] for i in range(n)
-        )
+        weight = float(np.sum(np.abs(u[s]) ** 2))
+        photon = u[s] / math.sqrt(weight)
+        ions = "".join(SPIN_CHARS[(s >> (n - 1 - i)) & 1] for i in range(n))
         rows.append(
             OutcomeRow(
                 ions=ions,
                 photon_amplitudes=photon,
-                expression=format_photon_state(photon) if prob > 0 else "0",
-                probability=prob,
+                expression=format_photon_state(photon),
+                probability=weight / 2**n,
             )
         )
     return OutcomeTable(n_ions=n, rows=tuple(rows))
@@ -259,9 +243,12 @@ def sample_run(cfg: ExperimentConfig, trials: int) -> RunReport:
     if trials < 1:
         raise DomainError("need at least one trial")
     coupling = chain_coupling(cfg)
-    state, probs = emission_stage(cfg)
-    state = entangle_stage(state, cfg, coupling=coupling)
-    table = outcome_table(state)
+    probs = emission_stage(cfg)
+    cnots = [
+        gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on)
+        for t in range(1, cfg.n_ions)
+    ]
+    table = outcome_table(entangle_stage(cnots, coupling))
 
     p_total = math.prod(probs)
     cum = np.cumsum([row.probability for row in table.rows])
@@ -286,10 +273,7 @@ def sample_run(cfg: ExperimentConfig, trials: int) -> RunReport:
         freqs[row.ions] = f
         flags[row.ions] = bool(abs(f - p_uniform) <= 3.0 * sigma) if n_success else False
 
-    t0_compiled = max(
-        gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on).total_duration
-        for t in range(1, cfg.n_ions)
-    )
+    t0_compiled = max(seq.total_duration for seq in cnots)
     t0 = cfg.t0 if cfg.t0 is not None else t0_compiled
     rate_specific, rate_any = success_rate(cfg.n_ions, probs)
     return RunReport(

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ionphoton.constants import K_COULOMB
-from ionphoton.gates import SpinPhotonState
 
 SQ2 = math.sqrt(2.0)
 
@@ -148,21 +147,24 @@ def zz_unitary(n_ions: int, pair, angle: float) -> np.ndarray:
     return np.diag(np.exp(1j * angle * z_a * z_b))
 
 
-def ideal_entangle(state, active_on: str) -> SpinPhotonState:
-    """Exact CNOTs from ion 1 to ions 2..N, then the Hadamard on ion 1.
+def ideal_entangle(n_ions: int, active_on: str) -> np.ndarray:
+    """Exact ion unitary H_1 C_{1->N} ... C_{1->2}, by index arithmetic.
 
-    Each controlled-X is a permutation of the interleaved spin-photon
-    amplitudes (photon bits untouched); the Hadamard maps |e> -> (|g>-|e>)/sqrt2
-    and |g> -> (|g>+|e>)/sqrt2 on ion 1's spin, the most significant bit.
+    All CNOTs share control ion 1 (the most significant bit), so together
+    they flip every other bit of basis state x when ion 1 is active; the
+    Hadamard then maps |e> -> (|g>-|e>)/sqrt2 and |g> -> (|g>+|e>)/sqrt2
+    on ion 1.
     """
-    n = state.n_ions
-    idx = np.arange(4**n)
-    control_on = ((idx >> (2 * n - 1)) & 1) == (0 if active_on == "e" else 1)
-    amps = state.amplitudes
-    for target in range(1, n):
-        amps = amps[np.where(control_on, idx ^ (1 << (2 * n - 1 - 2 * target)), idx)]
-    e_half, g_half = amps.reshape(2, -1)
-    return SpinPhotonState(np.concatenate([g_half - e_half, e_half + g_half]) / SQ2, n)
+    dim = 2**n_ions
+    half = dim // 2
+    x = np.arange(dim)
+    control_on = (x >= half) == (active_on == "g")
+    y = np.where(control_on, x ^ (half - 1), x)      # basis state after the CNOTs
+    rest, ion1_g = y % half, y >= half
+    u = np.zeros((dim, dim))
+    u[rest + half, x] = 1.0 / SQ2                     # |g> part, always +
+    u[rest, x] = np.where(ion1_g, 1.0, -1.0) / SQ2    # |e> part, - from |e>
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +206,10 @@ def ion_string_index(ions: str) -> int:
 
 
 def hand_table_state(table: dict, n: int) -> np.ndarray:
-    """Full spin x photon statevector assembled from a hand-typed table."""
-    amps = np.zeros(4**n, complex)
+    """Ion x photon amplitudes, rows = ion strings, from a hand-typed table."""
+    amps = np.zeros((2**n, 2**n))
     norm = 1.0 / (2.0 ** (n / 2.0) * SQ2)
     for ions, photons in table.items():
-        s_idx = ion_string_index(ions)
         for pattern, sign in photons.items():
-            p_idx = photon_pattern_index(pattern)
-            # interleave spin and photon bits, spin first per site
-            full = 0
-            for site in range(n):
-                s_bit = (s_idx >> (n - 1 - site)) & 1
-                p_bit = (p_idx >> (n - 1 - site)) & 1
-                full = (full << 2) | (s_bit << 1) | p_bit
-            amps[full] += sign * norm
+            amps[ion_string_index(ions), photon_pattern_index(pattern)] += sign * norm
     return amps

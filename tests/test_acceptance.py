@@ -232,26 +232,31 @@ def _ideal_config(n_ions: int, seed: int = 1) -> protocol.ExperimentConfig:
     )
 
 
+def _entangled(cfg: protocol.ExperimentConfig) -> np.ndarray:
+    coupling = protocol.chain_coupling(cfg)
+    cnots = [
+        gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on)
+        for t in range(1, cfg.n_ions)
+    ]
+    return protocol.entangle_stage(cnots, coupling)
+
+
 def test_criterion_6_protocol_oracle():
     failures = []
     for n, hand in ((2, oracles.TWO_PHOTON_TABLE), (3, oracles.THREE_PHOTON_TABLE)):
-        cfg = _ideal_config(n)
-        state, _ = protocol.emission_stage(cfg)
-        state = protocol.entangle_stage(state, cfg)
+        u = _entangled(_ideal_config(n))
         expected = oracles.hand_table_state(hand, n)
-        dev = float(np.max(np.abs(state.amplitudes - expected)))
+        dev = float(np.max(np.abs(u / 2 ** (n / 2) - expected)))
         if dev >= 1e-10:
             failures.append(f"N={n} amplitude deviation {dev:.2e}")
-        table = protocol.outcome_table(state)
+        table = protocol.outcome_table(u)
         for row in table.rows:
             if abs(row.probability - 1.0 / 2**n) > 1e-12:
                 failures.append(f"N={n} row {row.ions} p={row.probability!r}")
 
     cfg5 = _ideal_config(5)
-    state, probs = protocol.emission_stage(cfg5)
-    coupling = protocol.chain_coupling(cfg5)
-    state = protocol.entangle_stage(state, cfg5, coupling)
-    table = protocol.outcome_table(state)
+    probs = protocol.emission_stage(cfg5)
+    table = protocol.outcome_table(_entangled(cfg5))
     per_state, _ = protocol.success_rate(5, probs)
     if abs(per_state - 1.0 / 32.0) > 1e-12:
         failures.append(f"N=5 specific-state rate {per_state!r}")

@@ -412,6 +412,29 @@ class TestErrors:
         assert result.output.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["gates", "run"])
+    def test_subnormal_coupling_exits_3(self, tmp_path, command):
+        # J12 is a nonzero subnormal, so the CNOT time pi/(2 J12) overflows
+        cfg = tmp_path / "weak.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace("550.0", "1e-160"))
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3
+        assert result.output.startswith("error:") and result.output.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,code", [("couplings", 0), ("gates", 3)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_remote_ions_give_no_overflow_warning(self, tmp_path, command, code):
+        # d**3 overflows in the Hessian; the Coulomb stiffness is exactly 0
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(_CRYSTAL_N2_TEXT.replace("6.0", "1e160"))
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == code
+        if code == 0:
+            assert result.stderr == ""
+        else:
+            assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("args", [
         ["couplings", "--seed", "1"], ["emission", "--seed", "1"],
         ["gates", "--seed", "1"], ["gates", "--format", "json"],
