@@ -97,7 +97,11 @@ def couplings(cfg, fmt):
 @_subcommand
 @_format
 def emission(cfg, fmt):
-    """Photon-emission success-rate sweep over (detuning, decay-rate)."""
+    """Photon-emission success-rate sweep over (detuning, decay-rate).
+
+    The detunings are [sweep] delta_list_Mrad_s; [cavity] delta_Mrad_s is
+    required and checked, but not used.
+    """
     setup = config.cavity_from(cfg)
     deltas, kappas = config.sweep_grid(cfg)
     omega, h = setup.omega_laser, setup.g_cav
@@ -114,10 +118,7 @@ def emission(cfg, fmt):
 @_subcommand
 def gates_cmd(cfg):
     """CNOT polarity checks and refocusing verification."""
-    cases = config.crystal_cases(cfg)
-    if len(cases) != 1:
-        raise ConfigError("gates command needs exactly one [crystal] section")
-    case = cases[0]
+    case = config.single_case(cfg, "gates")
     _, _, coupling, _ = crystal.solve_chain(case.traps, case.gradient, case.species)
 
     prod_g = gates.cnot_product_matrix(active_on="g")
@@ -139,7 +140,7 @@ def gates_cmd(cfg):
     refocused = []
     for target in range(1, n):
         seq = gates.cnot_sequence(coupling.J, 0, target, active_on="e")
-        u = gates.sequence_unitary(seq, coupling.J, n)
+        u = gates.sequence_unitary(seq, coupling.J)
         ideal = gates.ideal_cnot(n, 0, target, "e")
         fid = gates.gate_fidelity(u, ideal)
         refocused.append(

@@ -18,6 +18,7 @@ import configparser
 import io
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .errors import ConfigError, DomainError
 # a key that is not a number in physical units (a label, a count, a seed).
 SCHEMA = {
     "species": {"mass_amu": ATOMIC_MASS, "g_factor": 1.0, "label": None},
-    "gradient": {"dbdz_t_per_m": 1.0},
     "crystal": {  # plus nu_<k>_Mrad_s for trap k, matched by _PER_TRAP_NU
         "n_ions": None, "d_um": MICRON, "centers_um": MICRON, "nu_mrad_s": MRAD_S,
         "dbdz_t_per_m": 1.0, "eta_laser": 1.0, "ref_delta_um": MICRON,
@@ -83,9 +83,6 @@ class ConfigData:
 
     def __init__(self, parser: configparser.ConfigParser):
         self._p = parser
-
-    def has_section(self, name: str) -> bool:
-        return self._p.has_section(name)
 
     def sections(self):
         return self._p.sections()
@@ -161,26 +158,19 @@ def load_config(text: str) -> ConfigData:
     return ConfigData(parser)
 
 
+def _built(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a DomainError becomes a ConfigError on ``section``."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def species_from(cfg: ConfigData) -> crystal.IonSpecies:
     mass = cfg.get_float("species", "mass_amu", default=YB171_MASS)
     g = cfg.get_float("species", "g_factor", default=2.0)
     label = cfg.get("species", "label", default="Yb-171")
-    try:
-        return crystal.IonSpecies(mass=mass, g_factor=g, label=label)
-    except DomainError as exc:
-        raise ConfigError(f"[species] {exc}") from None
-
-
-def _gradient_for(cfg: ConfigData, section: str) -> crystal.FieldGradient:
-    dbdz = cfg.get_float(section, "dbdz_t_per_m")
-    if dbdz is None:
-        dbdz = cfg.get_float("gradient", "dbdz_t_per_m")
-    if dbdz is None:
-        raise ConfigError(f"[{section}] needs dBdz_T_per_m (or a [gradient] default)")
-    try:
-        return crystal.FieldGradient(dBdz=dbdz)
-    except DomainError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+    return _built("species", crystal.IonSpecies, mass=mass, g_factor=g, label=label)
 
 
 def _traps_for(cfg: ConfigData, section: str) -> tuple[crystal.TrapArray, float | None]:
@@ -199,28 +189,25 @@ def _traps_for(cfg: ConfigData, section: str) -> tuple[crystal.TrapArray, float 
         raise ConfigError(f"[{section}] needs nu_Mrad_s or nu_{k}_Mrad_s for trap {k}")
     if centers is not None and len(centers) != n:
         raise ConfigError(f"[{section}] centers_um must list {n} values")
-    try:
-        if centers is None:
-            traps = crystal.uniform_traps(n, spacing, freqs)
-        else:
-            traps = crystal.TrapArray(tuple(centers), tuple(freqs))
-    except DomainError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+    if centers is None:
+        traps = _built(section, crystal.uniform_traps, n, spacing, freqs)
+    else:
+        traps = _built(section, crystal.TrapArray, tuple(centers), tuple(freqs))
     # the summary reports d_um as written: x * 1e-6 / 1e-6 is not always x
     return traps, None if spacing is None else float(cfg.get(section, "d_um"))
 
 
+@dataclass(frozen=True)
 class CrystalCase:
     """One chain configuration plus optional reference values."""
 
-    def __init__(self, label, traps, gradient, species, eta, d_um, refs):
-        self.label = label
-        self.traps = traps
-        self.gradient = gradient
-        self.species = species
-        self.eta = eta
-        self.d_um = d_um
-        self.refs = refs   # dict with SI-converted reference values
+    label: str
+    traps: crystal.TrapArray
+    gradient: crystal.FieldGradient
+    species: crystal.IonSpecies
+    eta: float
+    d_um: float | None
+    refs: dict   # SI-converted reference values
 
 
 _REFS = {"ref_delta_um": "delta_m", "ref_h_um": "h_m", "ref_eps_max": "eps_max",
@@ -229,7 +216,8 @@ _REFS = {"ref_delta_um": "delta_m", "ref_h_um": "h_m", "ref_eps_max": "eps_max",
 
 def _case_from_section(cfg: ConfigData, section: str, species) -> CrystalCase:
     traps, d_um = _traps_for(cfg, section)
-    gradient = _gradient_for(cfg, section)
+    dbdz = cfg.get_float(section, "dbdz_t_per_m", required=True)
+    gradient = _built(section, crystal.FieldGradient, dBdz=dbdz)
     eta = cfg.get_float(section, "eta_laser", default=0.1)
     refs = {}
     for key, name in _REFS.items():
@@ -243,9 +231,7 @@ def _case_from_section(cfg: ConfigData, section: str, species) -> CrystalCase:
 def crystal_cases(cfg: ConfigData) -> list[CrystalCase]:
     """All chain configurations in the file ([crystal] or [case.*] sections)."""
     species = species_from(cfg)
-    sections = []
-    if cfg.has_section("crystal"):
-        sections.append("crystal")
+    sections = ["crystal"] if "crystal" in cfg.sections() else []
     sections += sorted(
         (s for s in cfg.sections() if s.startswith("case.")),
         key=lambda s: (len(s), s),
@@ -255,15 +241,20 @@ def crystal_cases(cfg: ConfigData) -> list[CrystalCase]:
     return [_case_from_section(cfg, s, species) for s in sections]
 
 
+def single_case(cfg: ConfigData, command: str) -> CrystalCase:
+    """The one chain configuration of a single-configuration command."""
+    cases = crystal_cases(cfg)
+    if len(cases) != 1:
+        raise ConfigError(f"{command} needs exactly one [crystal] section")
+    return cases[0]
+
+
 def cavity_from(cfg: ConfigData) -> cavity.CavitySetup:
     omega, h, delta, kappa = (
         cfg.get_float("cavity", key, required=True)
         for key in ("omega_mrad_s", "h_mrad_s", "delta_mrad_s", "kappa_mrad_s")
     )
-    try:
-        return cavity.CavitySetup(omega, h, delta, kappa)
-    except DomainError as exc:
-        raise ConfigError(f"[cavity] {exc}") from None
+    return _built("cavity", cavity.CavitySetup, omega, h, delta, kappa)
 
 
 def sweep_grid(cfg: ConfigData) -> tuple[list[float], list[float]]:
@@ -281,33 +272,25 @@ def sweep_grid(cfg: ConfigData) -> tuple[list[float], list[float]]:
 
 def experiment_from(cfg: ConfigData, seed_override=None) -> protocol.ExperimentConfig:
     """Assemble the full protocol configuration from a config file."""
-    cases = crystal_cases(cfg)
-    if len(cases) != 1:
-        raise ConfigError("protocol runs need exactly one [crystal] section")
-    case = cases[0]
+    case = single_case(cfg, "run")
     setup = cavity_from(cfg)
-    n = case.traps.n_ions
     seed = cfg.get_int("run", "seed", default=1)
     if seed_override is not None:
         seed = seed_override
     if seed < 0:
         raise ConfigError("[run] seed must be a non-negative integer")
-    try:
-        return protocol.ExperimentConfig(
-            species=case.species,
-            traps=case.traps,
-            gradient=case.gradient,
-            cavities=(setup,) * n,
-            cnot_active_on=cfg.get("protocol", "cnot_active_on", default="e"),
-            seed=seed,
-            t0=cfg.get_float("protocol", "t0_s"),
-            t1=cfg.get_float("protocol", "t1_s", default=0.0),
-            collection_efficiency=cfg.get_float(
-                "protocol", "collection_efficiency", default=1.0
-            ),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"[protocol] {exc}") from None
+    return _built(
+        "protocol", protocol.ExperimentConfig,
+        species=case.species,
+        traps=case.traps,
+        gradient=case.gradient,
+        cavities=(setup,) * case.traps.n_ions,
+        cnot_active_on=cfg.get("protocol", "cnot_active_on", default="e"),
+        seed=seed,
+        t0=cfg.get_float("protocol", "t0_s"),
+        t1=cfg.get_float("protocol", "t1_s", default=0.0),
+        collection_efficiency=cfg.get_float("protocol", "collection_efficiency", default=1.0),
+    )
 
 
 def trials_from(cfg: ConfigData) -> int:
@@ -360,15 +343,13 @@ def _table2_cases() -> str:
 
 _SPECIES_BLOCK = "[species]\nmass_amu = 171.0\ng_factor = 2.0\nlabel = Yb-171\n\n"
 
-_CAVITY_REFERENCE = (
-    "[cavity]\nOmega_Mrad_s = 10.0\nh_Mrad_s = 138.0\ndelta_Mrad_s = 0.1\n"
-    "kappa_Mrad_s = 960.0\n\n"
-)
 
-_CAVITY_IDEAL = (
-    "[cavity]\nOmega_Mrad_s = 10.0\nh_Mrad_s = 138.0\ndelta_Mrad_s = 0.1\n"
-    "kappa_Mrad_s = 0.0\n\n"
-)
+def _cavity(kappa: float) -> str:
+    return (
+        "[cavity]\nOmega_Mrad_s = 10.0\nh_Mrad_s = 138.0\ndelta_Mrad_s = 0.1\n"
+        f"kappa_Mrad_s = {kappa}\n\n"
+    )
+
 
 _CRYSTAL_N2 = (
     "[crystal]\nn_ions = 2\nd_um = 6.0\nnu_Mrad_s = 5.55\ndBdz_T_per_m = 550.0\n\n"
@@ -383,39 +364,27 @@ _CRYSTAL_N5 = (
     "[crystal]\nn_ions = 5\nd_um = 10.0\nnu_Mrad_s = 2.35\ndBdz_T_per_m = 150.0\n\n"
 )
 
+_RUN_TAIL = (
+    "[protocol]\ncnot_active_on = e\nt1_s = 0.0\n\n[run]\ntrials = 100000\nseed = 1\n"
+)
+
 PRESETS = {
     "table1": _SPECIES_BLOCK + _table1_cases(),
     "table2": _SPECIES_BLOCK + _table2_cases(),
     "fig2": (
-        _CAVITY_REFERENCE
+        _cavity(960.0)
         + "[sweep]\nkappa_grid_Mrad_s = 0:1000:41\ndelta_list_Mrad_s = 0.1,0.25,0.5,1.0\n"
     ),
     "fig2_ideal": (
-        _CAVITY_REFERENCE
+        _cavity(960.0)
         + "[sweep]\nkappa_grid_Mrad_s = 0:1000:41\ndelta_list_Mrad_s = 0.001\n"
     ),
     "gates2": _SPECIES_BLOCK + _CRYSTAL_N2,
     "gates3": _SPECIES_BLOCK + _CRYSTAL_N3,
-    "run_n2_ideal": (
-        _SPECIES_BLOCK + _CRYSTAL_N2 + _CAVITY_IDEAL
-        + "[protocol]\ncnot_active_on = e\nt1_s = 0.0\n\n"
-        + "[run]\ntrials = 100000\nseed = 1\n"
-    ),
-    "run_n3_ideal": (
-        _SPECIES_BLOCK + _CRYSTAL_N3 + _CAVITY_IDEAL
-        + "[protocol]\ncnot_active_on = e\nt1_s = 0.0\n\n"
-        + "[run]\ntrials = 100000\nseed = 1\n"
-    ),
-    "run_n5_ideal": (
-        _SPECIES_BLOCK + _CRYSTAL_N5 + _CAVITY_IDEAL
-        + "[protocol]\ncnot_active_on = e\nt1_s = 0.0\n\n"
-        + "[run]\ntrials = 100000\nseed = 1\n"
-    ),
-    "run_n2": (
-        _SPECIES_BLOCK + _CRYSTAL_N2 + _CAVITY_REFERENCE
-        + "[protocol]\ncnot_active_on = e\nt1_s = 0.0\n\n"
-        + "[run]\ntrials = 100000\nseed = 1\n"
-    ),
+    "run_n2_ideal": _SPECIES_BLOCK + _CRYSTAL_N2 + _cavity(0.0) + _RUN_TAIL,
+    "run_n3_ideal": _SPECIES_BLOCK + _CRYSTAL_N3 + _cavity(0.0) + _RUN_TAIL,
+    "run_n5_ideal": _SPECIES_BLOCK + _CRYSTAL_N5 + _cavity(0.0) + _RUN_TAIL,
+    "run_n2": _SPECIES_BLOCK + _CRYSTAL_N2 + _cavity(960.0) + _RUN_TAIL,
 }
 
 

@@ -122,10 +122,6 @@ class Equilibrium:
     gaps: np.ndarray         # positions[m+1] - positions[m], m
     residual: float          # max |dV/dz| at the solution, N
 
-    @property
-    def n_ions(self) -> int:
-        return len(self.positions)
-
 
 @dataclass(frozen=True)
 class NormalModes:
@@ -145,10 +141,6 @@ class NormalModes:
         if not np.allclose(s @ s.T, np.eye(s.shape[0]), atol=ORTHO_TOL):
             raise UnstableConfigurationError("mode matrix is not orthogonal")
 
-    @property
-    def n_ions(self) -> int:
-        return len(self.mode_freqs)
-
 
 @dataclass(frozen=True)
 class CouplingMatrix:
@@ -159,10 +151,6 @@ class CouplingMatrix:
     def __post_init__(self):   # a gradient whose square overflows leaves nan
         if not np.all(np.isfinite(self.J)):
             raise DomainError("coupling matrix is not finite; is dB/dz too large?")
-
-    @property
-    def n_ions(self) -> int:
-        return self.J.shape[0]
 
 
 @dataclass(frozen=True)

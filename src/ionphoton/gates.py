@@ -11,8 +11,8 @@ sigma_z = |e><e| - |g><g|.  The always-on interaction is
 H = -sum_{i<j} (J_ij / 2) sigma_z^i sigma_z^j, so free evolution for time t
 applies the diagonal phases exp(+i t sum_{i<j} (J_ij/2) z_i z_j).
 
-Pulse sequences follow operator-product notation: the LEFTMOST element of a
-sequence is applied LAST.
+Pulse sequences list their elements in run order: the first element is
+applied first.
 
 CNOT polarity
 -------------
@@ -136,7 +136,7 @@ PulseElement = Union[Rotation, IsingDelay, GlobalPhase]
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered pulse elements; the leftmost element is applied last."""
+    """Pulse elements in the order they are applied."""
 
     elements: tuple
 
@@ -146,13 +146,13 @@ class PulseSequence:
 
 
 def _run_elements(amps: np.ndarray, seq: PulseSequence, j: np.ndarray):
-    """Apply ``seq`` in chronological order along the leading axis of ``amps``.
+    """Apply ``seq`` along the leading axis of ``amps``.
 
     Ion i (from 0) is bit i of that axis, counted from the most significant;
     trailing axes (the columns of a unitary) ride along.
     """
     n = j.shape[0]
-    for e in reversed(seq.elements):
+    for e in seq.elements:
         if isinstance(e, Rotation):
             if not 0 <= e.ion < n:
                 raise DomainError(f"ion index {e.ion} out of range")
@@ -166,7 +166,7 @@ def _run_elements(amps: np.ndarray, seq: PulseSequence, j: np.ndarray):
 
 
 def apply_sequence(amps: np.ndarray, seq: PulseSequence, coupling) -> np.ndarray:
-    """Run a pulse sequence on ion-register amplitudes (chronological order)."""
+    """Run a pulse sequence on ion-register amplitudes."""
     j = _coupling_array(coupling)
     amps = np.asarray(amps, complex)
     if amps.shape[0] != 2 ** j.shape[0]:
@@ -174,14 +174,12 @@ def apply_sequence(amps: np.ndarray, seq: PulseSequence, coupling) -> np.ndarray
     return _run_elements(amps, seq, j)
 
 
-def sequence_unitary(seq: PulseSequence, coupling, n_ions: int | None = None) -> np.ndarray:
+def sequence_unitary(seq: PulseSequence, coupling) -> np.ndarray:
     """Dense unitary of a sequence over the ion register.
 
     Column k is the sequence applied to ion basis state k.
     """
     j = _coupling_array(coupling)
-    if n_ions not in (None, j.shape[0]):
-        raise DomainError("coupling dimension does not match n_ions")
     return _run_elements(np.eye(2 ** j.shape[0], dtype=complex), seq, j)
 
 
@@ -268,9 +266,9 @@ def compile_refocused_zz(coupling, pair: tuple[int, int], target_angle: float) -
     """Pulse sequence whose net effect is exp(i * target_angle * z_i z_j).
 
     All other pairwise couplings are cancelled by a Walsh-pattern echo:
-    total time is split into equal slices, the two addressed ions keep the
-    all-plus pattern, and every spectator ion is assigned a distinct
-    non-constant row of a Hadamard matrix, toggled by instantaneous pi
+    total time is split into equal slices (just one without spectators),
+    the addressed ions keep the all-plus pattern, and every spectator gets
+    a distinct non-constant Hadamard row, toggled by instantaneous pi
     x-pulses between slices.  Orthogonality of the rows cancels every
     spectator coupling exactly; the addressed coupling accumulates in full,
     so the total delay is 2 * angle / J_ij with no echo time overhead.
@@ -292,46 +290,39 @@ def compile_refocused_zz(coupling, pair: tuple[int, int], target_angle: float) -
         raise UncompilableError(f"coupling J[{i},{k}] = {j[i, k]:.3g}: gate time overflows")
     spectators = [q for q in range(n) if q not in (i, k)]
 
-    chronological: list[PulseElement] = []
-    pulse_count = 0
-    if not spectators:
-        if total_time > 0:
-            chronological.append(IsingDelay(total_time))
-    else:
-        n_slices = 1
-        while n_slices - 1 < len(spectators):
-            n_slices *= 2
-        rows = _hadamard_rows(n_slices)
-        pattern = {q: rows[1 + qi] for qi, q in enumerate(spectators)}
-        current = {q: 1 for q in spectators}
-        for s in range(n_slices):
-            for q in spectators:
-                if pattern[q][s] != current[q]:
-                    chronological.append(Rotation(q, "x", math.pi))
-                    current[q] = pattern[q][s]
-                    pulse_count += 1
-            chronological.append(IsingDelay(total_time / n_slices))
-        for q in spectators:                      # restore the frame
-            if current[q] != 1:
-                chronological.append(Rotation(q, "x", math.pi))
-                pulse_count += 1
+    n_slices = 1 << len(spectators).bit_length()
+    rows = _hadamard_rows(n_slices)[1:]           # one per spectator, in order
+    current = dict.fromkeys(spectators, 1)
+    elements: list[PulseElement] = []
+    for s in range(n_slices):
+        for q, row in zip(spectators, rows):
+            if row[s] != current[q]:
+                elements.append(Rotation(q, "x", math.pi))
+                current[q] = row[s]
+        elements.append(IsingDelay(total_time / n_slices))
+    for q in spectators:                          # restore the frame
+        if current[q] != 1:
+            elements.append(Rotation(q, "x", math.pi))
 
     # each pi x-pulse contributes -i sigma_x; with an even count per ion the
     # sigma_x parts cancel and the scalar (-i)^pulses remains
-    phase = (-0.5 * math.pi * pulse_count - math.pi * shifts) % (2.0 * math.pi)
+    pulses = sum(isinstance(e, Rotation) for e in elements)
+    phase = (-0.5 * math.pi * pulses - math.pi * shifts) % (2.0 * math.pi)
     compensation = -phase % (2.0 * math.pi)
     if compensation != 0.0:
-        chronological.append(GlobalPhase(compensation))
-    return PulseSequence(tuple(reversed(chronological)))
+        elements.append(GlobalPhase(compensation))
+    return PulseSequence(tuple(elements))
 
 
 def cnot_sequence(coupling, control: int, target: int, active_on: str = "e") -> PulseSequence:
     """Compiled CNOT over the always-on couplings.
 
-    Six-factor structure with the zz factor realized physically: an
-    IsingDelay of pi/(2 J_ct) (refocused when spectators exist) gives the
-    +pi/4 zz angle, and the single-qubit z angles absorb the sign so the
-    simulated unitary equals the ideal controlled-X exactly.
+    Six-factor structure with the zz factor realized physically.  In run
+    order: Ry(-pi/2) on the target; an IsingDelay of pi/(2 J_ct),
+    refocused when spectators exist, for the +pi/4 zz angle; z rotations
+    on the target and then the control, whose angles absorb the sign;
+    Ry(+pi/2) on the target; and a global phase, so the simulated unitary
+    equals the ideal controlled-X exactly.
     """
     if control == target:
         raise DomainError("control and target must differ")
@@ -340,12 +331,11 @@ def cnot_sequence(coupling, control: int, target: int, active_on: str = "e") -> 
     zz_seq = compile_refocused_zz(coupling, (control, target), math.pi / 4)
     z_target = -math.pi / 2 if active_on == "e" else math.pi / 2
     phase = -math.pi / 4 if active_on == "e" else math.pi / 4
-    elements = (
-        (GlobalPhase(phase),)
-        + (Rotation(target, "y", math.pi / 2),)
-        + (Rotation(control, "z", math.pi / 2),)
-        + (Rotation(target, "z", z_target),)
-        + zz_seq.elements
-        + (Rotation(target, "y", -math.pi / 2),)
-    )
-    return PulseSequence(elements)
+    return PulseSequence((
+        Rotation(target, "y", -math.pi / 2),
+        *zz_seq.elements,
+        Rotation(target, "z", z_target),
+        Rotation(control, "z", math.pi / 2),
+        Rotation(target, "y", math.pi / 2),
+        GlobalPhase(phase),
+    ))

@@ -84,11 +84,11 @@ def chain_coupling(cfg: ExperimentConfig) -> crystal.CouplingMatrix:
 def entangle_stage(cnots, coupling) -> np.ndarray:
     """Ion unitary U = H_1 C_{1->N} ... C_{1->2}.
 
-    ``cnots`` are the compiled CNOTs from ion 1 to ions 2..N in that order;
+    ``cnots`` are the compiled CNOTs from ion 1 to ions 2..N, in run order;
     they run as one pulse sequence over the actual coupling matrix, with
     the spectator couplings refocused away.
     """
-    elements = tuple(e for seq in reversed(cnots) for e in seq.elements)
+    elements = tuple(e for seq in cnots for e in seq.elements)
     u = gates.sequence_unitary(gates.PulseSequence(elements), coupling)
     return gates.apply_hadamard(u, 0)
 
@@ -107,12 +107,6 @@ class OutcomeRow:
 class OutcomeTable:
     n_ions: int
     rows: tuple
-
-    def row_by_ions(self, ions: str) -> OutcomeRow:
-        for row in self.rows:
-            if row.ions == ions:
-                return row
-        raise KeyError(ions)
 
 
 def _photon_label(index: int, n: int) -> str:
@@ -208,7 +202,7 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Sampling summary of one protocol configuration."""
+    """Sampling summary of one run; run_report.json holds every field but ``table``."""
 
     trials: int
     seed: int

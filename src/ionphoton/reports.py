@@ -7,6 +7,7 @@ timestamps or environment data are recorded.  The manifest is written last
 and lists every emitted file with its SHA-256 and byte count.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -254,25 +255,9 @@ def run_report_doc(report: protocol.RunReport) -> dict:
             "echo refocusing adds no delay time under the instantaneous-pulse "
             "idealization, so bare and compiled t0 coincide"
         )
-    return {
-        "trials": report.trials,
-        "seed": report.seed,
-        "per_ion_p": list(report.per_ion_p),
-        "p_total": report.p_total,
-        "n_success": report.n_success,
-        "failed_emissions": report.failed_emissions,
-        "counts": report.counts,
-        "frequencies": report.frequencies,
-        "within_3sigma": report.within_3sigma,
-        "t0_s": report.t0_s,
-        "t0_compiled_s": report.t0_compiled_s,
-        "t1_s": report.t1_s,
-        "timing_s": report.timing_s,
-        "rate_specific_state": report.rate_specific_state,
-        "rate_any_state": report.rate_any_state,
-        "cnot_active_on": report.cnot_active_on,
-        "notes": notes,
-    }
+    doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.compare}
+    doc["notes"] = notes
+    return doc
 
 
 def run_bundle(report: protocol.RunReport, fmt_choice: str) -> ReportBundle:

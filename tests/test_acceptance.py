@@ -272,7 +272,7 @@ def test_criterion_7_refocused_cnot():
     traps = crystal.uniform_traps(3, 8e-6, [2.05 * MRAD_S, 5.80 * MRAD_S, 2.05 * MRAD_S])
     _, _, coupling, _ = crystal.solve_chain(traps, crystal.FieldGradient(150.0), YB)
     seq = gates.cnot_sequence(coupling.J, 0, 2, active_on="e")
-    u = gates.sequence_unitary(seq, coupling.J, 3)
+    u = gates.sequence_unitary(seq, coupling.J)
     fid = gates.gate_fidelity(u, gates.ideal_cnot(3, 0, 2, "e"))
     ok = fid >= 1.0 - 1e-9
     report(7, "refocused CNOT on three-ion couplings", ok, f"fidelity {fid!r}")

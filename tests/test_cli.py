@@ -332,8 +332,10 @@ _RUN_N2_TEXT = (
 class TestErrors:
     @pytest.mark.parametrize("section,key,text", [
         ("crystal", "wat", "[crystal]\nn_ions = 2\nd_um = 6.0\nnu_Mrad_s = 5.55\nwat = 1\n"),
-        # accepted once but never modelled
-        ("gradient", "b0_t", "[gradient]\ndBdz_T_per_m = 1.0\nB0_T = 0.0\n"),
+        # once a fallback for dBdz_T_per_m; every chain section now sets its own
+        ("[gradient]", "unknown section",
+         "[crystal]\nn_ions = 2\nd_um = 6.0\nnu_Mrad_s = 5.55\n\n"
+         "[gradient]\ndBdz_T_per_m = 1.0\nB0_T = 0.0\n"),
         ("cavity", "radius_um", _CAVITY_TEXT + "radius_um = 10\n"),
     ], ids=["crystal-wat", "gradient-B0_T", "cavity-radius_um"])
     def test_unknown_key_reports_section(self, tmp_path, section, key, text):

@@ -314,6 +314,13 @@ class TestSequencePlumbing:
         u = gates.sequence_unitary(gates.PulseSequence(()), j)
         assert np.array_equal(u, np.eye(4, dtype=complex))
 
+    def test_elements_run_in_listed_order(self):
+        a, b = 0.3, 1.1
+        seq = gates.PulseSequence((gates.Rotation(0, "y", a), gates.Rotation(0, "x", b)))
+        u = gates.sequence_unitary(seq, np.zeros((1, 1)))
+        expected = gates.rotation_matrix("x", b) @ gates.rotation_matrix("y", a)
+        assert np.max(np.abs(u - expected)) < 1e-15
+
     def test_fidelity_properties(self):
         j = np.array([[0.0, 500.0], [500.0, 0.0]])
         u = gates.sequence_unitary(gates.cnot_sequence(j, 0, 1), j)

@@ -120,6 +120,8 @@ class TestOutcomeTable:
     def setup_method(self):
         self.table2 = protocol.outcome_table(entangled(make_config(2)))
         self.table3 = protocol.outcome_table(entangled(make_config(3)))
+        self.rows2 = {row.ions: row for row in self.table2.rows}
+        self.rows3 = {row.ions: row for row in self.table3.rows}
 
     def test_row_count_and_uniform_probabilities(self):
         assert len(self.table2.rows) == 4
@@ -131,18 +133,18 @@ class TestOutcomeTable:
             assert sum(r.probability for r in table.rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_expected_expressions(self):
-        assert self.table2.row_by_ions("gg").expression == "(+|s+ s+> + |s0 s0>)/sqrt2"
-        assert self.table2.row_by_ions("ee").expression == "(+|s0 s+> - |s+ s0>)/sqrt2"
-        assert self.table3.row_by_ions("gee").expression == "(+|s+ s0 s0> + |s0 s+ s+>)/sqrt2"
-        assert self.table3.row_by_ions("gee").probability == pytest.approx(1 / 8, abs=1e-12)
+        assert self.rows2["gg"].expression == "(+|s+ s+> + |s0 s0>)/sqrt2"
+        assert self.rows2["ee"].expression == "(+|s0 s+> - |s+ s0>)/sqrt2"
+        assert self.rows3["gee"].expression == "(+|s+ s0 s0> + |s0 s+ s+>)/sqrt2"
+        assert self.rows3["gee"].probability == pytest.approx(1 / 8, abs=1e-12)
 
     def test_rows_match_hand_tables(self):
-        for table, hand in (
-            (self.table2, oracles.TWO_PHOTON_TABLE),
-            (self.table3, oracles.THREE_PHOTON_TABLE),
+        for rows, hand in (
+            (self.rows2, oracles.TWO_PHOTON_TABLE),
+            (self.rows3, oracles.THREE_PHOTON_TABLE),
         ):
             for ions, pattern in hand.items():
-                row = table.row_by_ions(ions)
+                row = rows[ions]
                 expected = np.zeros(len(row.photon_amplitudes))
                 for label, sign in pattern.items():
                     expected[oracles.photon_pattern_index(label)] = sign / SQ2
