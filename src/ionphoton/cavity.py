@@ -10,15 +10,14 @@ two-level problem
 
 driven at the effective rate omega_eff = Omega * h / delta, while the photon
 amplitude decays at the cavity field rate kappa.  The no-leak dynamics are
-the damped Rabi problem; everything here is closed form, with a fixed-step
-integrator kept in the test suite as an independent check.
+the damped Rabi problem, in closed form, with a fixed-step integrator kept
+in the test suite as an independent check.  Every ion has its own cavity,
+all of them identical, so one ``CavitySetup`` describes a run.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -72,30 +71,16 @@ def _omega_prime(w: float, kappa: float) -> complex:
     return complex(math.ldexp(root.real, e), math.ldexp(root.imag, e))
 
 
-def _sector_propagator(omega_eff: float, kappa: float, t: float) -> np.ndarray:
-    """2x2 no-leak propagator on (|aux, 0>, |qubit, 1 photon>).
-
-    exp(-i t [[0, w], [w, -i kappa]]) evaluated in closed form; valid on
-    both sides of the damping transition (omega' real or imaginary).
-    """
-    w = omega_eff
-    wp = _omega_prime(w, kappa)
+def photon_amplitude(omega_eff: float, kappa: float, t: float) -> complex:
+    """Amplitude on |qubit, 1 photon> at time t from a pure auxiliary start:
+    b(t) = -i (w/w') exp(-kappa t/2) sin(w' t), also when w' is imaginary."""
+    wp = _omega_prime(omega_eff, kappa)
     z = wp * t
     if abs(z) < 1e-8:
         sinc = t * (1.0 - z * z / 6.0)     # sin(z)/wp -> t as z -> 0
     else:
         sinc = cmath.sin(z) / wp
-    cosz = cmath.cos(z)
-    damp = cmath.exp(-kappa * t / 2.0)
-    a = np.array(
-        [[1j * kappa / 2.0, w], [w, -1j * kappa / 2.0]], complex
-    )
-    return damp * (cosz * np.eye(2) - 1j * sinc * a)
-
-
-def photon_amplitude(omega_eff: float, kappa: float, t: float) -> complex:
-    """Amplitude on |qubit, 1 photon> at time t from a pure auxiliary start."""
-    return _sector_propagator(omega_eff, kappa, t)[1, 0]
+    return cmath.exp(-kappa * t / 2.0) * (-1j * sinc * omega_eff)
 
 
 def success_probability(omega_eff: float, kappa: float, tau: float) -> float:

@@ -284,7 +284,7 @@ def experiment_from(cfg: ConfigData, seed_override=None) -> protocol.ExperimentC
         species=case.species,
         traps=case.traps,
         gradient=case.gradient,
-        cavities=(setup,) * case.traps.n_ions,
+        setup=setup,
         cnot_active_on=cfg.get("protocol", "cnot_active_on", default="e"),
         seed=seed,
         t0=cfg.get_float("protocol", "t0_s"),

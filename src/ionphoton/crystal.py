@@ -18,7 +18,7 @@ usually quoted.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,12 +158,14 @@ class EpsilonMatrix:
     """Gradient sideband parameters, rows = modes, columns = ions (magnitudes)."""
 
     eps: np.ndarray
-    eps_max: float = field(default=0.0)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.eps)):
             raise DomainError("sideband matrix is not finite; is dB/dz too large?")
-        object.__setattr__(self, "eps_max", float(np.max(self.eps)) if self.eps.size else 0.0)
+
+    @property
+    def eps_max(self) -> float:
+        return float(np.max(self.eps)) if self.eps.size else 0.0
 
 
 # Working bound on the effective Lamb-Dicke parameter before the
@@ -280,10 +282,8 @@ def normal_modes(eq: Equilibrium, traps: TrapArray, species: IonSpecies) -> Norm
         )
     # deterministic sign: largest-|component| entry of each mode positive
     s = evecs.T.copy()
-    for row in s:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
+    pivots = s[np.arange(len(s)), np.argmax(np.abs(s), axis=1)]
+    s *= np.where(pivots < 0, -1.0, 1.0)[:, None]
     freqs = np.sqrt(evals / species.mass)
     spreads = np.sqrt(HBAR / (2.0 * species.mass * freqs))
     return NormalModes(mode_freqs=freqs, mode_matrix=s, spreads=spreads)

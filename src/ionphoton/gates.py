@@ -200,12 +200,10 @@ def ideal_cnot(n_ions: int, control: int, target: int, active_on: str = "e") -> 
     if active_on not in ("e", "g"):
         raise DomainError("active_on must be 'e' or 'g'")
     active_bit = 0 if active_on == "e" else 1
-    dim = 2**n_ions
-    u = np.zeros((dim, dim), complex)
-    for idx in range(dim):
-        cbit = (idx >> (n_ions - 1 - control)) & 1
-        out = idx ^ (1 << (n_ions - 1 - target)) if cbit == active_bit else idx
-        u[out, idx] = 1.0
+    idx = np.arange(2**n_ions)
+    flip = ((idx >> (n_ions - 1 - control)) & 1) == active_bit
+    u = np.zeros((len(idx), len(idx)), complex)
+    u[idx ^ (flip << (n_ions - 1 - target)), idx] = 1
     return u
 
 
@@ -244,22 +242,12 @@ def cnot_product_matrix(active_on: str = "g") -> np.ndarray:
     return np.exp(-1j * math.pi / 4) * last @ z_c @ z_t @ zz_factor @ first
 
 
-def _wrap_zz_angle(target_angle: float) -> tuple[float, int]:
-    """Reduce a zz angle to [0, pi); returns (reduced angle, pi-shift count)."""
-    k = math.ceil(-target_angle / math.pi) if target_angle < 0 else 0
-    theta = target_angle + k * math.pi
-    while theta >= math.pi:
-        theta -= math.pi
-        k -= 1
-    return theta, k
-
-
-def _hadamard_rows(n_slices: int) -> np.ndarray:
-    """Rows of the +-1 Hadamard matrix of size n_slices (a power of two)."""
+def _walsh_rows(n_slices: int) -> np.ndarray:
+    """+-1 Hadamard rows of size n_slices (a power of two), row m with m sign changes."""
     h = np.array([[1]])
     while h.shape[0] < n_slices:
         h = np.block([[h, h], [h, -h]])
-    return h
+    return h[np.argsort((np.diff(h, axis=1) != 0).sum(axis=1))]
 
 
 def compile_refocused_zz(coupling, pair: tuple[int, int], target_angle: float) -> PulseSequence:
@@ -268,8 +256,8 @@ def compile_refocused_zz(coupling, pair: tuple[int, int], target_angle: float) -
     All other pairwise couplings are cancelled by a Walsh-pattern echo:
     total time is split into equal slices (just one without spectators),
     the addressed ions keep the all-plus pattern, and every spectator gets
-    a distinct non-constant Hadamard row, toggled by instantaneous pi
-    x-pulses between slices.  Orthogonality of the rows cancels every
+    a distinct non-constant Walsh row, fewest sign changes first, toggled
+    by instantaneous pi x-pulses.  Orthogonality of the rows cancels every
     spectator coupling exactly; the addressed coupling accumulates in full,
     so the total delay is 2 * angle / J_ij with no echo time overhead.
     A trailing global-phase element compensates pulse phases, making the
@@ -283,7 +271,8 @@ def compile_refocused_zz(coupling, pair: tuple[int, int], target_angle: float) -
     if j[i, k] == 0:
         raise UncompilableError(f"coupling J[{i},{k}] is zero")
 
-    theta, shifts = _wrap_zz_angle(target_angle)
+    theta = target_angle % math.pi   # [0, pi), or pi for a tiny negative angle
+    shifts = round((theta - target_angle) / math.pi)
     with np.errstate(over="ignore"):
         total_time = 2.0 * theta / j[i, k]
     if not math.isfinite(total_time):
@@ -291,7 +280,7 @@ def compile_refocused_zz(coupling, pair: tuple[int, int], target_angle: float) -
     spectators = [q for q in range(n) if q not in (i, k)]
 
     n_slices = 1 << len(spectators).bit_length()
-    rows = _hadamard_rows(n_slices)[1:]           # one per spectator, in order
+    rows = _walsh_rows(n_slices)[1:]              # one per spectator, in order
     current = dict.fromkeys(spectators, 1)
     elements: list[PulseElement] = []
     for s in range(n_slices):

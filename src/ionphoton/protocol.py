@@ -28,12 +28,12 @@ MIN_PROTOCOL_IONS = 2
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to run the full protocol once."""
+    """Everything needed to run the full protocol once; the ions' cavities are identical."""
 
     species: crystal.IonSpecies
     traps: crystal.TrapArray
     gradient: crystal.FieldGradient
-    cavities: tuple            # one CavitySetup per ion
+    setup: cavity.CavitySetup  # every ion's cavity
     cnot_active_on: str = "e"  # 'e' reproduces the outcome tables
     seed: int = 0
     t0: float | None = None    # per-CNOT time; the compiled CNOT duration if None
@@ -41,13 +41,10 @@ class ExperimentConfig:
     collection_efficiency: float = 1.0
 
     def __post_init__(self):
-        n = self.traps.n_ions
-        if not MIN_PROTOCOL_IONS <= n <= gates.MAX_IONS:
+        if not MIN_PROTOCOL_IONS <= self.n_ions <= gates.MAX_IONS:
             raise DomainError(
-                f"protocol needs {MIN_PROTOCOL_IONS}..{gates.MAX_IONS} ions, got {n}"
+                f"protocol needs {MIN_PROTOCOL_IONS}..{gates.MAX_IONS} ions, got {self.n_ions}"
             )
-        if len(self.cavities) != n:
-            raise DomainError("need one cavity setup per ion")
         if self.cnot_active_on not in ("e", "g"):
             raise DomainError("cnot_active_on must be 'e' or 'g'")
         if not 0.0 <= self.collection_efficiency <= 1.0:
@@ -61,17 +58,15 @@ class ExperimentConfig:
 
 
 def emission_stage(cfg: ExperimentConfig) -> list:
-    """Per-ion success probabilities of conditional emission at each ion's
-    optimal stop time.
+    """Per-ion success probabilities of conditional emission at the optimal
+    stop time; every ion's cavity is ``cfg.setup``, so one optimum serves all.
 
     On success every site is (|g>|s0> + |e>|s+>)/sqrt(2), whatever the
     cavity: both qubit levels share one Raman channel, so only the success
     probability depends on it.
     """
-    return [
-        cavity.emission_result(setup).p_success * cfg.collection_efficiency
-        for setup in cfg.cavities
-    ]
+    p = cavity.emission_result(cfg.setup).p_success * cfg.collection_efficiency
+    return [p] * cfg.n_ions
 
 
 def chain_coupling(cfg: ExperimentConfig) -> crystal.CouplingMatrix:

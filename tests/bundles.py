@@ -93,6 +93,24 @@ def build(case: Case) -> dict[str, bytes]:
         return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
 
 
+def moved(built: dict[Path, bytes], root: Path) -> list[str]:
+    """Reference files under ``root`` whose bytes differ from ``built``:
+    changed, new (built but not stored) or gone (stored but not built)."""
+    stored = {p for p in root.rglob("*") if p.is_file()}
+    out = []
+    for path in sorted(stored | built.keys()):
+        if path not in stored:
+            status = "new"
+        elif path not in built:
+            status = "gone"
+        elif path.read_bytes() != built[path]:
+            status = "changed"
+        else:
+            continue
+        out.append(f"{status}: {path.relative_to(root)}")
+    return out
+
+
 def reference(case: Case) -> dict[str, bytes]:
     """The stored reference of a case, by file name (manifest included)."""
     manifest = json.loads(case.ref_path("manifest.json").read_bytes())

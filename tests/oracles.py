@@ -147,6 +147,16 @@ def zz_unitary(n_ions: int, pair, angle: float) -> np.ndarray:
     return np.diag(np.exp(1j * angle * z_a * z_b))
 
 
+def cnot_by_basis_state(n_ions: int, control: int, target: int, active_on: str) -> np.ndarray:
+    """Controlled-X on the 2^N ion space, built one basis state at a time."""
+    dim = 2**n_ions
+    u = np.zeros((dim, dim), complex)
+    for x in range(dim):
+        active = ((x >> (n_ions - 1 - control)) & 1) == (active_on == "g")
+        u[x ^ (1 << (n_ions - 1 - target)) if active else x, x] = 1.0
+    return u
+
+
 def ideal_entangle(n_ions: int, active_on: str) -> np.ndarray:
     """Exact ion unitary H_1 C_{1->N} ... C_{1->2}, by index arithmetic.
 

@@ -228,7 +228,7 @@ def _ideal_config(n_ions: int, seed: int = 1) -> protocol.ExperimentConfig:
         grad = crystal.FieldGradient(150.0)
     return protocol.ExperimentConfig(
         species=YB, traps=traps, gradient=grad,
-        cavities=(setup,) * n_ions, seed=seed,
+        setup=setup, seed=seed,
     )
 
 

@@ -39,3 +39,18 @@ def test_reruns_are_byte_identical(built):
             if name != "manifest.json":
                 path = case.ref_path(name)
                 assert first.setdefault(path, data) == data, f"{case.id}: {name}"
+
+
+def test_moved_names_changed_new_and_gone_files(tmp_path):
+    """``regen_bundles.py --check`` reports through ``bundles.moved``."""
+    (tmp_path / "a").mkdir()
+    for name in ("a/same.csv", "a/changed.csv", "gone.csv"):
+        (tmp_path / name).write_bytes(b"1")
+    built = {
+        tmp_path / "a" / "same.csv": b"1",
+        tmp_path / "a" / "changed.csv": b"2",
+        tmp_path / "new.csv": b"1",
+    }
+    assert bundles.moved(built, tmp_path) == [
+        "changed: a/changed.csv", "gone: gone.csv", "new: new.csv",
+    ]

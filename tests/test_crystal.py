@@ -150,6 +150,8 @@ class TestNormalModes:
         modes = crystal.normal_modes(eq, traps, YB)
         s = modes.mode_matrix
         assert np.max(np.abs(s @ s.T - np.eye(n))) < 1e-10
+        for row in s:                     # sign: largest-|component| entry positive
+            assert row[np.argmax(np.abs(row))] > 0
         hess = crystal.potential_hessian(eq.positions, traps, YB)
         for k in range(n):
             resid = hess @ s[k] - YB.mass * modes.mode_freqs[k] ** 2 * s[k]

@@ -1,5 +1,6 @@
 """Ion-register operations, pulse sequences, CNOT polarity, refocusing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -140,6 +141,15 @@ class TestCnotProducts:
         assert np.max(np.abs(u - ideal)) < 1e-12
         assert 1.0 - gates.gate_fidelity(u, ideal) < 1e-12
 
+    def test_ideal_cnot_matches_basis_state_loop(self):
+        for n in range(2, gates.MAX_IONS + 1):
+            for control, target in itertools.permutations(range(n), 2):
+                for active in ("e", "g"):
+                    assert np.array_equal(
+                        gates.ideal_cnot(n, control, target, active),
+                        oracles.cnot_by_basis_state(n, control, target, active),
+                    )
+
     def test_negating_all_z_angles_keeps_g_polarity(self):
         # flipping every z-type angle only changes the global phase: the
         # gate stays active on |g>
@@ -251,10 +261,12 @@ class TestRefocusing:
 
         Spectators follow distinct non-constant rows of a Hadamard matrix,
         the decoupling scheme of Leung, Chuang, Yamaguchi & Yamamoto,
-        PRA 61, 042310 (2000).  Pinning today's pi-pulse and delay counts
-        keeps a refactor from quietly adding pulses.
+        PRA 61, 042310 (2000), taken in sequency order (fewest sign changes
+        first; Sylvester order needed 0, 2, 6, 8, 18 pulses).  Pinning the
+        pi-pulse and delay counts keeps a refactor from quietly adding
+        pulses.
         """
-        for spectators, pulses, delays in zip(range(5), (0, 2, 6, 8, 18), (1, 2, 4, 4, 8)):
+        for spectators, pulses, delays in zip(range(5), (0, 2, 4, 8, 12), (1, 2, 4, 4, 8)):
             j = random_coupling(spectators + 2, spectators)
             seq = gates.compile_refocused_zz(j, (0, 1), math.pi / 4)
             rots = [e for e in seq.elements if isinstance(e, gates.Rotation)]

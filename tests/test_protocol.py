@@ -37,7 +37,7 @@ def make_config(n_ions, setup=None, **kwargs):
         grad = crystal.FieldGradient(150.0)
     return protocol.ExperimentConfig(
         species=YB, traps=traps, gradient=grad,
-        cavities=(setup,) * n_ions, **kwargs,
+        setup=setup, **kwargs,
     )
 
 
@@ -72,17 +72,6 @@ class TestEmission:
         probs = protocol.emission_stage(cfg)
         assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
-    def test_per_ion_cavities_can_differ(self):
-        cfg = protocol.ExperimentConfig(
-            species=YB,
-            traps=crystal.uniform_traps(2, 6e-6, 5.55e6),
-            gradient=crystal.FieldGradient(550.0),
-            cavities=(ideal_cavity(), lossy_cavity()),
-        )
-        probs = protocol.emission_stage(cfg)
-        assert probs[0] == pytest.approx(1.0, abs=1e-12)
-        assert probs[1] == pytest.approx(0.898600, abs=1e-6)
-
 
 class TestEntangle:
     def test_two_ion_state_matches_hand_expansion(self):
@@ -110,7 +99,7 @@ class TestEntangle:
         cfg = make_config(2)
         cfg = protocol.ExperimentConfig(
             species=cfg.species, traps=cfg.traps,
-            gradient=crystal.FieldGradient(0.0), cavities=cfg.cavities,
+            gradient=crystal.FieldGradient(0.0), setup=cfg.setup,
         )
         with pytest.raises(UncompilableError):
             protocol.sample_run(cfg, 1)
