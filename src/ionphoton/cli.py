@@ -4,6 +4,11 @@ Each subcommand reads one plain-text config (``--config`` file or a named
 ``--preset``), computes its artifacts and writes a reproducible report
 bundle to ``--out``.  Exit codes: 0 success, 2 configuration problem,
 3 numerical/solver failure.  Environment variables are never consulted.
+
+Every ``click.echo`` names its stream.  Without ``file=``, click caches
+the current ``sys.stdout`` in a weak-key map whose value is that same
+stream, so a caller that swaps ``sys.stdout`` per call would keep every
+stream alive.
 """
 
 import functools
@@ -19,7 +24,7 @@ from .errors import ConfigError, IonPhotonError
 def _explain_units(ctx, param, value):
     if not value or ctx.resilient_parsing:
         return
-    click.echo(config.UNITS_HELP, nl=False)
+    click.echo(config.UNITS_HELP, nl=False, file=sys.stdout)
     ctx.exit(0)
 
 
@@ -57,13 +62,13 @@ def _subcommand(fn):
         try:
             bundle = fn(_load_config(config_path, preset), **options)
         except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
+            click.echo(f"config error: {exc}", file=sys.stderr)
             sys.exit(2)
         except IonPhotonError as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(3)
         out = bundle.write(out_dir)
-        click.echo(f"wrote {len(bundle.files) + 1} files to {out}")
+        click.echo(f"wrote {len(bundle.files) + 1} files to {out}", file=sys.stdout)
 
     guarded = click.option(
         "--out", "out_dir", required=True, type=click.Path(file_okay=False),
@@ -158,7 +163,7 @@ def gates_cmd(cfg):
         "refocused_cnots": refocused,
         "diagnostic": gates.POLARITY_DIAGNOSTIC,
     }
-    click.echo("\n".join(lines))
+    click.echo("\n".join(lines), file=sys.stdout)
     return reports.gates_bundle(report, lines)
 
 
@@ -170,14 +175,13 @@ def gates_cmd(cfg):
 def run(cfg, fmt, seed, trials):
     """Full protocol: emission, entangling gates, outcome table, sampling."""
     experiment = config.experiment_from(cfg, seed_override=seed)
-    n_trials = trials if trials is not None else config.trials_from(cfg)
-    if n_trials < 1:
-        raise ConfigError("--trials must be >= 1")
+    n_trials = config.trials_from(cfg, override=trials)
     report = protocol.sample_run(experiment, n_trials)
     click.echo(
         f"N={experiment.n_ions}  p_total={report.p_total:.6f}  "
         f"success {report.n_success}/{report.trials}  "
-        f"timing {report.timing_s:.6e} s"
+        f"timing {report.timing_s:.6e} s",
+        file=sys.stdout,
     )
     return reports.run_bundle(report, fmt)
 

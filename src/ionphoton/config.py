@@ -293,10 +293,17 @@ def experiment_from(cfg: ConfigData, seed_override=None) -> protocol.ExperimentC
     )
 
 
-def trials_from(cfg: ConfigData) -> int:
-    trials = cfg.get_int("run", "trials", default=100000)
-    if trials < 1:
-        raise ConfigError("[run] trials must be >= 1")
+def trials_from(cfg: ConfigData, override=None) -> int:
+    """[run] trials, or ``override`` (--trials) when given; 1..2**32.
+
+    Like [run] seed, the config value must be an integer even when
+    overridden.
+    """
+    name, trials = "[run] trials", cfg.get_int("run", "trials", default=100000)
+    if override is not None:
+        name, trials = "--trials", override
+    if not 1 <= trials <= protocol.MAX_TRIALS:
+        raise ConfigError(f"{name} must be in 1..2**32, got {trials}")
     return trials
 
 

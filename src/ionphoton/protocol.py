@@ -10,6 +10,9 @@ probability 1/2^N.
 Monte Carlo sampling is reproducible: trial k draws from the substream
 numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,))), so
 any execution order (serial or parallel) yields bit-identical reports.
+``_substream`` computes each trial's two draws under that rule for a
+block of trials at once; a run holds at most MAX_TRIALS trials, so every
+spawn key is one uint32 word.
 """
 
 import math
@@ -17,13 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cavity, crystal, gates
+from . import _substream, cavity, crystal, gates
 from .errors import DomainError
 
 PHOTON_CHARS = {0: "s+", 1: "s0"}
 SPIN_CHARS = {0: "e", 1: "g"}
 
 MIN_PROTOCOL_IONS = 2
+MAX_TRIALS = 2**32
+TRIAL_CHUNK = 1024   # trials sampled per block; keeps the sampler's arrays small
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,8 @@ class ExperimentConfig:
             raise DomainError("collection efficiency must be in [0, 1]")
         if self.t1 < 0 or (self.t0 is not None and self.t0 < 0):
             raise DomainError("times must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
     @property
     def n_ions(self) -> int:
@@ -188,13 +195,6 @@ def success_rate(n_ions: int, per_ion_p) -> tuple[float, float]:
     return total / 2**n_ions, total
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Documented substream rule: SeedSequence(entropy=seed, spawn_key=(k,))."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
-    )
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Sampling summary of one run; run_report.json holds every field but ``table``."""
@@ -217,20 +217,16 @@ class RunReport:
     cnot_active_on: str
     table: OutcomeTable = field(compare=False)
 
-    def __post_init__(self):
-        if self.n_success + self.failed_emissions != self.trials:
-            raise DomainError("trial accounting does not add up")
-
 
 def sample_run(cfg: ExperimentConfig, trials: int) -> RunReport:
     """Run the pipeline once, then Monte Carlo sample the measurement.
 
     Each trial first draws overall emission success (probability
     prod_m P_m), then an ion string from the outcome table.  Deterministic
-    given (seed, trials).
+    given (seed, trials); ``trials`` is 1..MAX_TRIALS.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise DomainError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     coupling = chain_coupling(cfg)
     probs = emission_stage(cfg)
     cnots = [
@@ -243,13 +239,12 @@ def sample_run(cfg: ExperimentConfig, trials: int) -> RunReport:
     cum = np.cumsum([row.probability for row in table.rows])
     cum[-1] = max(cum[-1], 1.0)   # guard the last bin against roundoff
     counts = np.zeros(len(table.rows), dtype=np.int64)
-    failed = 0
-    for k in range(trials):
-        rng = trial_rng(cfg.seed, k)
-        if rng.random() >= p_total:
-            failed += 1
-            continue
-        counts[int(np.searchsorted(cum, rng.random(), side="right"))] += 1
+    prefix = _substream.seed_prefix(cfg.seed)
+    for start in range(0, trials, TRIAL_CHUNK):
+        keys = np.arange(start, min(start + TRIAL_CHUNK, trials), dtype=np.uint32)
+        u1, u2 = _substream.first_two_uniforms(_substream.state_words(prefix, keys))
+        hits = np.searchsorted(cum, u2[u1 < p_total], side="right")
+        counts += np.bincount(hits, minlength=len(counts))
 
     n_success = int(counts.sum())
     p_uniform = 1.0 / len(table.rows)
@@ -271,7 +266,7 @@ def sample_run(cfg: ExperimentConfig, trials: int) -> RunReport:
         per_ion_p=tuple(probs),
         p_total=p_total,
         n_success=n_success,
-        failed_emissions=failed,
+        failed_emissions=trials - n_success,
         counts={row.ions: int(c) for row, c in zip(table.rows, counts)},
         frequencies=freqs,
         within_3sigma=flags,

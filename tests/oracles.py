@@ -4,7 +4,8 @@ Nothing here may call the production code paths it verifies: the cavity
 integrator is a plain fixed-step RK4 on the raw non-Hermitian Schrodinger
 equation, the equilibrium oracle is 1-D coordinate-descent energy
 minimization, the zz and entangling references are index arithmetic on
-the basis states, and the outcome tables are typed in by hand.
+the basis states, the outcome tables are typed in by hand, and the trial
+substreams come from numpy.random itself, one trial at a time.
 """
 
 import math
@@ -223,3 +224,31 @@ def hand_table_state(table: dict, n: int) -> np.ndarray:
         for pattern, sign in photons.items():
             amps[ion_string_index(ions), photon_pattern_index(pattern)] += sign * norm
     return amps
+
+
+# ---------------------------------------------------------------------------
+# protocol: the documented per-trial substream rule, trial by trial
+
+
+def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    """Documented substream rule: SeedSequence(entropy=seed, spawn_key=(k,))."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
+    )
+
+
+def sampled_counts(seed: int, trials: int, p_total: float, cum) -> tuple[np.ndarray, int]:
+    """(counts per outcome row, failed emissions), one substream per trial.
+
+    Trial k fails if its first draw is >= p_total; otherwise its second
+    draw picks the row from the cumulative probabilities ``cum``.
+    """
+    counts = np.zeros(len(cum), dtype=np.int64)
+    failed = 0
+    for k in range(trials):
+        rng = trial_rng(seed, k)
+        if rng.random() >= p_total:
+            failed += 1
+            continue
+        counts[int(np.searchsorted(cum, rng.random(), side="right"))] += 1
+    return counts, failed

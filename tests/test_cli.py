@@ -1,8 +1,15 @@
 """CLI behavior: presets, outputs, exit codes, reproducibility, goldens."""
 
+import contextlib
+import gc
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -479,6 +486,36 @@ class TestErrors:
         assert result.exit_code == 0
         assert "1 MHz == 1e6 rad/s" in result.output
 
+    @pytest.mark.parametrize("source", ["config", "option"])
+    def test_trial_count_above_2_to_the_32_exits_2(self, tmp_path, source):
+        cfg = tmp_path / "c.cfg"
+        too_many = str(2**32 + 1)
+        if source == "config":
+            cfg.write_text(_RUN_N2_TEXT.replace("trials = 20", f"trials = {too_many}"))
+            extra = []
+        else:
+            cfg.write_text(_RUN_N2_TEXT)
+            extra = ["--trials", too_many]
+        result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")] + extra)
+        assert result.exit_code == 2
+        assert result.output.startswith("config error:") and result.output.count("\n") == 1
+        assert "2**32" in result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line,option", [("trials = 20", "--trials"), ("seed = 1", "--seed")])
+    def test_overridden_config_value_is_still_checked(self, tmp_path, line, option):
+        key = line.split()[0]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace(line, f"{key} = abc"))
+        result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), option, "5"])
+        assert result.exit_code == 2
+        assert result.output == f"config error: [run] {key}: not an integer: 'abc'\n"
+
+    def test_trial_cap_is_inclusive(self):
+        text = _RUN_N2_TEXT.replace("trials = 20", f"trials = {2**32}")
+        assert config.trials_from(config.load_config(text)) == 2**32
+        assert config.trials_from(config.load_config(_RUN_N2_TEXT), override=2**32) == 2**32
+
 
 class TestGolden:
     """Field-wise comparison against committed reference outputs."""
@@ -552,7 +589,7 @@ _values = st.one_of(
 @example(command="couplings", edits={("crystal", "n_ions"): "1"})
 def test_fuzzed_config_exits_with_a_documented_code(command, edits):
     entries = {**_FUZZ_BASE, **edits}
-    if entries[("run", "trials")] is None:   # the default, 100000 trials, takes seconds
+    if entries[("run", "trials")] is None:   # in place of the default, 100000 trials
         entries[("run", "trials")] = "20"
     sections = {}
     for (section, key), value in entries.items():
@@ -568,3 +605,31 @@ def test_fuzzed_config_exits_with_a_documented_code(command, edits):
         assert result.output.startswith("config error:") and result.output.count("\n") == 1
     if result.exit_code == 3:
         assert result.output.startswith("error:") and result.output.count("\n") == 1
+
+
+def test_cli_keeps_no_reference_to_the_streams_it_wrote_to(tmp_path):
+    # an embedding process that swaps sys.stdout per call must get every stream back
+    refs = []
+    for i in range(20):
+        args = (["run", "--preset", "run_n2_ideal", "--trials", "10"] if i % 2
+                else ["run", "--preset", "nope"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(args=args + ["--out", str(tmp_path / str(i))],
+                          prog_name="ionphoton", standalone_mode=False)
+            except SystemExit:
+                pass
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, ionphoton.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "False"

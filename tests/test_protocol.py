@@ -195,11 +195,34 @@ class TestSampling:
 
     def test_trial_substream_rule(self):
         # the documented rule: substream k = SeedSequence(entropy=seed, spawn_key=(k,))
-        rng = protocol.trial_rng(99, 5)
+        rng = oracles.trial_rng(99, 5)
         expected = np.random.default_rng(
             np.random.SeedSequence(entropy=99, spawn_key=(5,))
         )
         assert rng.random() == expected.random()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_counts_match_a_trial_by_trial_loop(self, offset):
+        # around one sampler block, with failed emissions in the mix
+        trials = protocol.TRIAL_CHUNK + offset
+        cfg = make_config(3, setup=lossy_cavity(), seed=2**64 + 5)
+        report = protocol.sample_run(cfg, trials)
+        cum = np.cumsum([row.probability for row in report.table.rows])
+        cum[-1] = max(cum[-1], 1.0)
+        counts, failed = oracles.sampled_counts(cfg.seed, trials, report.p_total, cum)
+        assert 0 < report.failed_emissions == failed
+        assert list(report.counts.values()) == counts.tolist()
+
+    def test_trial_count_is_capped(self):
+        cfg = make_config(2)
+        with pytest.raises(DomainError, match="trials"):
+            protocol.sample_run(cfg, protocol.MAX_TRIALS + 1)
+        with pytest.raises(DomainError, match="trials"):
+            protocol.sample_run(cfg, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            make_config(2, seed=-1)
 
 
 class TestTimingAndRates:
