@@ -104,17 +104,16 @@ def couplings(cfg, fmt):
 def emission(cfg, fmt):
     """Photon-emission success-rate sweep over (detuning, decay-rate).
 
-    The detunings are [sweep] delta_list_Mrad_s; [cavity] delta_Mrad_s is
-    required and checked, but not used.
+    The detunings are [sweep] delta_list_Mrad_s; the summary takes the
+    decay rate [cavity] kappa_Mrad_s.
     """
-    setup = config.cavity_from(cfg)
+    omega, h, kappa = config.cavity_rates(cfg)
     deltas, kappas = config.sweep_grid(cfg)
-    omega, h = setup.omega_laser, setup.g_cav
     sweep = cavity.fig2_sweep(omega, h, deltas, kappas)
     summary = [
         [p.delta, cavity.effective_rabi(omega, h, p.delta),
          p.kappa, p.tau_star, p.p_single, p.p_pair]
-        for p in cavity.fig2_sweep(omega, h, deltas, [setup.kappa])
+        for p in cavity.fig2_sweep(omega, h, deltas, [kappa])
     ]
     return reports.emission_bundle(sweep, summary, fmt)
 

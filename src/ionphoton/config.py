@@ -15,14 +15,13 @@ single-configuration commands use one ``[crystal]`` section instead.
 """
 
 import configparser
-import io
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import cavity, crystal, protocol
+from . import cavity, crystal, gates, protocol
 from .constants import ATOMIC_MASS, KRAD_S, MICRON, MRAD_S, YB171_MASS
 from .errors import ConfigError, DomainError
 
@@ -246,14 +245,26 @@ def single_case(cfg: ConfigData, command: str) -> CrystalCase:
     cases = crystal_cases(cfg)
     if len(cases) != 1:
         raise ConfigError(f"{command} needs exactly one [crystal] section")
-    return cases[0]
+    case = cases[0]
+    if case.traps.n_ions > gates.MAX_IONS:   # each gate is a dense 2^N x 2^N unitary
+        section = "crystal" if "crystal" in cfg.sections() else f"case.{case.label}"
+        raise ConfigError(f"[{section}] n_ions: {command} simulates at most "
+                          f"{gates.MAX_IONS} ions, got {case.traps.n_ions}")
+    return case
+
+
+def cavity_rates(cfg: ConfigData) -> tuple[float, float, float]:
+    """[cavity] (Omega, h, kappa), rad/s; none may be negative."""
+    rates = tuple(cfg.get_float("cavity", key, required=True)
+                  for key in ("omega_mrad_s", "h_mrad_s", "kappa_mrad_s"))
+    if min(rates) < 0:
+        raise ConfigError("[cavity] Omega, h and kappa must be >= 0")
+    return rates
 
 
 def cavity_from(cfg: ConfigData) -> cavity.CavitySetup:
-    omega, h, delta, kappa = (
-        cfg.get_float("cavity", key, required=True)
-        for key in ("omega_mrad_s", "h_mrad_s", "delta_mrad_s", "kappa_mrad_s")
-    )
+    omega, h, kappa = cavity_rates(cfg)
+    delta = cfg.get_float("cavity", "delta_mrad_s", required=True)
     return _built("cavity", cavity.CavitySetup, omega, h, delta, kappa)
 
 
@@ -274,11 +285,11 @@ def experiment_from(cfg: ConfigData, seed_override=None) -> protocol.ExperimentC
     """Assemble the full protocol configuration from a config file."""
     case = single_case(cfg, "run")
     setup = cavity_from(cfg)
-    seed = cfg.get_int("run", "seed", default=1)
+    name, seed = "[run] seed", cfg.get_int("run", "seed", default=1)
     if seed_override is not None:
-        seed = seed_override
+        name, seed = "--seed", seed_override
     if seed < 0:
-        raise ConfigError("[run] seed must be a non-negative integer")
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
     return _built(
         "protocol", protocol.ExperimentConfig,
         species=case.species,
@@ -311,42 +322,32 @@ def trials_from(cfg: ConfigData, override=None) -> int:
 # embedded presets
 
 
-def _table1_cases() -> str:
-    rows = [
-        (6.0, 5.55, 550.0, 0.521, 7.042, 7.066e-2, 6.328),
-        (7.0, 4.50, 400.0, 0.588, 8.176, 7.038e-2, 4.980),
-        (8.0, 3.75, 300.0, 0.653, 9.307, 6.939e-2, 3.959),
-        (9.0, 3.30, 250.0, 0.681, 10.362, 7.005e-2, 3.370),
-        (10.0, 2.35, 150.0, 1.001, 12.001, 6.994e-2, 2.875),
-    ]
-    out = io.StringIO()
-    for i, (d, nu, dbdz, rd, rh, re, rj) in enumerate(rows, 1):
-        out.write(
-            f"[case.{i}]\nn_ions = 2\nd_um = {d}\nnu_Mrad_s = {nu}\n"
-            f"dBdz_T_per_m = {dbdz}\nref_delta_um = {rd}\nref_h_um = {rh}\n"
-            f"ref_eps_max = {re}\nref_j12_kHz = {rj}\n\n"
-        )
-    return out.getvalue()
+def _cases(keys: str, rows) -> str:
+    """[case.1], [case.2], ... sections: key k of ``keys`` takes value k of a row."""
+    return "".join(
+        f"[case.{i}]\n" + "".join(f"{k} = {v}\n" for k, v in zip(keys.split(), row)) + "\n"
+        for i, row in enumerate(rows, 1)
+    )
 
 
-def _table2_cases() -> str:
-    rows = [
-        (6.0, 2.75, 7.75, 240.0, 2.037, 8.037, 6.994e-2, 1.455, 1.448),
-        (7.0, 2.55, 7.25, 210.0, 1.922, 8.922, 7.048e-2, 1.141, 1.149),
-        (8.0, 2.05, 5.80, 150.0, 2.252, 10.25, 6.962e-2, 0.922, 0.922),
-        (9.0, 1.45, 4.10, 90.0, 3.186, 12.19, 6.810e-2, 0.747, 0.747),
-        (10.0, 1.20, 3.40, 70.0, 3.688, 13.69, 6.996e-2, 0.670, 0.672),
-    ]
-    out = io.StringIO()
-    for i, (d, nu1, nu2, dbdz, rd, rh, re, rj12, rj13) in enumerate(rows, 1):
-        out.write(
-            f"[case.{i}]\nn_ions = 3\nd_um = {d}\n"
-            f"nu_1_Mrad_s = {nu1}\nnu_2_Mrad_s = {nu2}\nnu_3_Mrad_s = {nu1}\n"
-            f"dBdz_T_per_m = {dbdz}\nref_delta_um = {rd}\nref_h_um = {rh}\n"
-            f"ref_eps_max = {re}\nref_j12_kHz = {rj12}\nref_j13_kHz = {rj13}\n\n"
-        )
-    return out.getvalue()
+_TABLE1 = _cases(
+    "n_ions d_um nu_Mrad_s dBdz_T_per_m ref_delta_um ref_h_um ref_eps_max ref_j12_kHz", [
+        (2, 6.0, 5.55, 550.0, 0.521, 7.042, 7.066e-2, 6.328),
+        (2, 7.0, 4.50, 400.0, 0.588, 8.176, 7.038e-2, 4.980),
+        (2, 8.0, 3.75, 300.0, 0.653, 9.307, 6.939e-2, 3.959),
+        (2, 9.0, 3.30, 250.0, 0.681, 10.362, 7.005e-2, 3.370),
+        (2, 10.0, 2.35, 150.0, 1.001, 12.001, 6.994e-2, 2.875),
+    ])
 
+_TABLE2 = _cases(
+    "n_ions d_um nu_1_Mrad_s nu_2_Mrad_s nu_3_Mrad_s dBdz_T_per_m ref_delta_um "
+    "ref_h_um ref_eps_max ref_j12_kHz ref_j13_kHz", [
+        (3, 6.0, 2.75, 7.75, 2.75, 240.0, 2.037, 8.037, 6.994e-2, 1.455, 1.448),
+        (3, 7.0, 2.55, 7.25, 2.55, 210.0, 1.922, 8.922, 7.048e-2, 1.141, 1.149),
+        (3, 8.0, 2.05, 5.80, 2.05, 150.0, 2.252, 10.25, 6.962e-2, 0.922, 0.922),
+        (3, 9.0, 1.45, 4.10, 1.45, 90.0, 3.186, 12.19, 6.810e-2, 0.747, 0.747),
+        (3, 10.0, 1.20, 3.40, 1.20, 70.0, 3.688, 13.69, 6.996e-2, 0.670, 0.672),
+    ])
 
 _SPECIES_BLOCK = "[species]\nmass_amu = 171.0\ng_factor = 2.0\nlabel = Yb-171\n\n"
 
@@ -376,8 +377,8 @@ _RUN_TAIL = (
 )
 
 PRESETS = {
-    "table1": _SPECIES_BLOCK + _table1_cases(),
-    "table2": _SPECIES_BLOCK + _table2_cases(),
+    "table1": _SPECIES_BLOCK + _TABLE1,
+    "table2": _SPECIES_BLOCK + _TABLE2,
     "fig2": (
         _cavity(960.0)
         + "[sweep]\nkappa_grid_Mrad_s = 0:1000:41\ndelta_list_Mrad_s = 0.1,0.25,0.5,1.0\n"

@@ -59,8 +59,8 @@ HADAMARD = np.array([[-1, 1], [1, 1]], complex) / math.sqrt(2)
 
 
 def _coupling_array(coupling) -> np.ndarray:
-    """Accept a plain symmetric array or anything exposing a .J array."""
-    j = np.asarray(getattr(coupling, "J", coupling), float)
+    """The coupling matrix as a float array; it must be square and symmetric."""
+    j = np.asarray(coupling, float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
         raise DomainError("coupling matrix must be square")
     if not np.allclose(j, j.T):
@@ -89,13 +89,6 @@ def apply_hadamard(amps: np.ndarray, ion: int) -> np.ndarray:
     if not 0 <= ion < len(amps).bit_length() - 1:
         raise DomainError(f"ion index {ion} out of range")
     return _apply_site_op(amps, ion, HADAMARD)
-
-
-def _ising_phases(j: np.ndarray, t: float, n_ions: int) -> np.ndarray:
-    """Diagonal phases exp(+i t sum_{i<j} (J_ij/2) z_i z_j) over ion configs."""
-    configs = np.arange(2**n_ions)
-    z = 1.0 - 2.0 * ((configs[:, None] >> (n_ions - 1 - np.arange(n_ions))) & 1)
-    return np.exp(0.5j * t * ((z @ np.triu(j, 1)) * z).sum(1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +145,15 @@ def _run_elements(amps: np.ndarray, seq: PulseSequence, j: np.ndarray):
     trailing axes (the columns of a unitary) ride along.
     """
     n = j.shape[0]
+    z = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1)
+    zz = ((z @ np.triu(j, 1)) * z).sum(1)   # sum_{i<j} J_ij z_i z_j per ion config
     for e in seq.elements:
         if isinstance(e, Rotation):
             if not 0 <= e.ion < n:
                 raise DomainError(f"ion index {e.ion} out of range")
             amps = _apply_site_op(amps, e.ion, rotation_matrix(e.axis, e.angle))
         elif isinstance(e, IsingDelay):
-            phases = _ising_phases(j, e.duration, n)
+            phases = np.exp(0.5j * e.duration * zz)
             amps = (amps.reshape(2**n, -1) * phases[:, None]).reshape(amps.shape)
         else:
             amps = amps * np.exp(1j * e.angle)

@@ -87,8 +87,8 @@ def entangle_stage(cnots, coupling) -> np.ndarray:
     """Ion unitary U = H_1 C_{1->N} ... C_{1->2}.
 
     ``cnots`` are the compiled CNOTs from ion 1 to ions 2..N, in run order;
-    they run as one pulse sequence over the actual coupling matrix, with
-    the spectator couplings refocused away.
+    they run as one pulse sequence over the coupling array ``coupling``
+    (rad/s), with the spectator couplings refocused away.
     """
     elements = tuple(e for seq in cnots for e in seq.elements)
     u = gates.sequence_unitary(gates.PulseSequence(elements), coupling)
@@ -233,7 +233,7 @@ def sample_run(cfg: ExperimentConfig, trials: int) -> RunReport:
         gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on)
         for t in range(1, cfg.n_ions)
     ]
-    table = outcome_table(entangle_stage(cnots, coupling))
+    table = outcome_table(entangle_stage(cnots, coupling.J))
 
     p_total = math.prod(probs)
     cum = np.cumsum([row.probability for row in table.rows])

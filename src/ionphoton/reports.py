@@ -20,11 +20,7 @@ from .constants import KRAD_S, MICRON, MRAD_S
 
 def fmt(value) -> str:
     """CSV cell: shortest exact representation for floats, str() otherwise."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -38,7 +34,7 @@ def json_bytes(doc) -> bytes:
 
 
 class ReportBundle:
-    """A set of named artifacts plus a manifest, written atomically last."""
+    """A set of named artifacts plus a manifest, written last."""
 
     def __init__(self, command: str):
         self.command = command
@@ -74,14 +70,10 @@ class ReportBundle:
 
 
 def _rows_as_json(header: list[str], rows: list[list]) -> list[dict]:
-    return [
-        {key: (float(cell) if isinstance(cell, (float, np.floating)) else cell)
-         for key, cell in zip(header, row)}
-        for row in rows
-    ]
+    return [dict(zip(header, row)) for row in rows]
 
 
-def couplings_bundle(cases, fmt_choice: str = "csv") -> ReportBundle:
+def couplings_bundle(cases, fmt_choice: str) -> ReportBundle:
     """Per-case chain solutions: printed-unit summary plus SI detail tables."""
     bundle = ReportBundle("couplings")
     max_n = max(case.traps.n_ions for case in cases)
@@ -177,7 +169,7 @@ def _rel_dev(value, ref):
 # emission command
 
 
-def emission_bundle(sweep_rows, summary_rows, fmt_choice: str = "csv") -> ReportBundle:
+def emission_bundle(sweep_rows, summary_rows, fmt_choice: str) -> ReportBundle:
     bundle = ReportBundle("emission")
     sweep_header = ["kappa_rad_s", "delta_rad_s", "tau_star_s", "p_single", "p_pair"]
     sweep_table = [[p.kappa, p.delta, p.tau_star, p.p_single, p.p_pair]

@@ -238,7 +238,7 @@ def _entangled(cfg: protocol.ExperimentConfig) -> np.ndarray:
         gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on)
         for t in range(1, cfg.n_ions)
     ]
-    return protocol.entangle_stage(cnots, coupling)
+    return protocol.entangle_stage(cnots, coupling.J)
 
 
 def test_criterion_6_protocol_oracle():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -178,6 +179,20 @@ class TestEmission:
         result = run_cli(["emission", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
         assert "sweep" in result.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cavity_detuning_is_not_read(self, tmp_path, fmt):
+        # the detunings come from [sweep], so [cavity] delta_Mrad_s may be left out
+        bundles = []
+        for name, text in [("with", _CAVITY_TEXT),
+                           ("without", _CAVITY_TEXT.replace("delta_Mrad_s = 0.1\n", ""))]:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text + _SWEEP_TEXT)
+            out = tmp_path / name
+            result = run_cli(["emission", "--config", str(cfg), "--format", fmt, "--out", str(out)])
+            assert result.exit_code == 0
+            bundles.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert bundles[0] == bundles[1]
 
 
 class TestGates:
@@ -510,6 +525,46 @@ class TestErrors:
         result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), option, "5"])
         assert result.exit_code == 2
         assert result.output == f"config error: [run] {key}: not an integer: 'abc'\n"
+
+    @pytest.mark.parametrize("edit,extra,source", [
+        (("trials = 20", "trials = 0"), [], "[run] trials"),
+        (None, ["--trials", "0"], "--trials"),
+        (("seed = 1", "seed = -1"), [], "[run] seed"),
+        (None, ["--seed", "-1"], "--seed"),
+    ], ids=["config-trials", "option-trials", "config-seed", "option-seed"])
+    def test_out_of_range_value_names_its_source(self, tmp_path, edit, extra, source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace(*edit) if edit else _RUN_N2_TEXT)
+        result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")] + extra)
+        assert result.exit_code == 2
+        assert result.output.startswith(f"config error: {source} must be ")
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["gates", "run"])
+    @pytest.mark.parametrize("section", ["crystal", "case.1"])
+    def test_more_ions_than_the_register_cap_exit_2(self, tmp_path, command, section):
+        # one past the cap: never run a large N, each gate is 16 * 4^N bytes
+        cfg = tmp_path / "n7.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace("n_ions = 2", f"n_ions = {gates.MAX_IONS + 1}")
+                       .replace("[crystal]", f"[{section}]"))
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"config error: [{section}] n_ions")
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["emission", "run"])
+    @pytest.mark.parametrize("key", ["Omega_Mrad_s", "h_Mrad_s", "kappa_Mrad_s"])
+    def test_negative_cavity_rate_exits_2(self, tmp_path, command, key):
+        text = _CAVITY_TEXT + _SWEEP_TEXT if command == "emission" else _RUN_N2_TEXT
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(re.sub(rf"{key} = \S+", f"{key} = -1.0", text))
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output.startswith("config error: [cavity]")
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_trial_cap_is_inclusive(self):
         text = _RUN_N2_TEXT.replace("trials = 20", f"trials = {2**32}")

@@ -275,6 +275,39 @@ class TestRefocusing:
             assert sum(isinstance(e, gates.IsingDelay) for e in seq.elements) == delays
 
 
+class TestCompileRunMismatch:
+    """A CNOT compiled on one coupling matrix and run on another."""
+
+    @given(
+        n=st.integers(min_value=3, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_spectator_couplings_need_not_be_known(self, n, seed):
+        # the Walsh rows cancel any spectator values, not only the compiled ones
+        j = random_coupling(n, seed)
+        rng = np.random.default_rng(seed + 1)
+        control, target = (int(q) for q in rng.choice(n, size=2, replace=False))
+        scale = np.triu(rng.uniform(0.7, 1.3, size=(n, n)), 1)
+        scale += scale.T
+        scale[control, target] = scale[target, control] = 1.0
+        u = gates.sequence_unitary(gates.cnot_sequence(j, control, target), j * scale)
+        ideal = oracles.cnot_by_basis_state(n, control, target, "e")
+        assert 1.0 - gates.gate_fidelity(u, ideal) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("delta", np.geomspace(1e-3, 1e-2, 4))
+    def test_addressed_coupling_error_costs_pi2_delta2_over_32(self, n, delta):
+        # the zz angle pi/4 becomes pi/4 (1 + delta): F = cos(pi delta / 4)
+        j = random_coupling(n, 50 + n)
+        j_run = j.copy()
+        j_run[0, n - 1] = j_run[n - 1, 0] = j[0, n - 1] * (1 + delta)
+        u = gates.sequence_unitary(gates.cnot_sequence(j, 0, n - 1), j_run)
+        ideal = oracles.cnot_by_basis_state(n, 0, n - 1, "e")
+        infidelity = 1.0 - gates.gate_fidelity(u, ideal)
+        assert infidelity == pytest.approx(math.pi**2 * delta**2 / 32, rel=1e-2)
+
+
 class TestCnotSequences:
     @pytest.mark.parametrize("active", ["e", "g"])
     def test_two_ion_compiled_cnot(self, active):
@@ -342,15 +375,6 @@ class TestSequencePlumbing:
         assert gates.gate_fidelity(cx, np.eye(4, dtype=complex)) == pytest.approx(0.5)
         with pytest.raises(DomainError):
             gates.gate_fidelity(np.eye(2), np.eye(4))
-
-    def test_coupling_matrix_object_accepted(self):
-        from ionphoton import crystal
-        j = np.array([[0.0, 700.0], [700.0, 0.0]])
-        wrapped = crystal.CouplingMatrix(J=j)
-        state = random_state(2, 9)
-        a = evolve(state, wrapped, 1e-4)
-        b = evolve(state, j, 1e-4)
-        assert np.array_equal(a, b)
 
     def test_unitarity_of_sequence_matrix(self):
         j = random_coupling(3, 21)

@@ -49,7 +49,7 @@ def entangled(cfg, coupling=None):
         gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on)
         for t in range(1, cfg.n_ions)
     ]
-    return protocol.entangle_stage(cnots, coupling)
+    return protocol.entangle_stage(cnots, coupling.J)
 
 
 class TestEmission:
@@ -303,9 +303,8 @@ def test_rows_match_ideal_oracle_for_random_couplings(n):
     j = rng.uniform(0.5, 3.0, size=(n, n)) * 1e3
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
-    coupling = crystal.CouplingMatrix(J=j)
     cnots = [gates.cnot_sequence(j, 0, t) for t in range(1, n)]
-    table = protocol.outcome_table(protocol.entangle_stage(cnots, coupling))
+    table = protocol.outcome_table(protocol.entangle_stage(cnots, j))
     ideal = oracles.ideal_entangle(n, "e")
     for s, row in enumerate(table.rows):
         assert np.max(np.abs(row.photon_amplitudes - ideal[s])) < 1e-9
