@@ -2,8 +2,9 @@
 
 Each subcommand reads one plain-text config (``--config`` file or a named
 ``--preset``), computes its artifacts and writes a reproducible report
-bundle to ``--out``.  Exit codes: 0 success, 2 configuration problem,
-3 numerical/solver failure.  Environment variables are never consulted.
+bundle to ``--out``.  Exit codes: 0 success, 2 configuration problem or
+an ``--out`` that cannot be written, 3 numerical/solver failure.
+Environment variables are never consulted.
 
 Every ``click.echo`` names its stream.  Without ``file=``, click caches
 the current ``sys.stdout`` in a weak-key map whose value is that same
@@ -55,6 +56,8 @@ def _subcommand(fn):
     The config comes from --config or --preset and the bundle goes to
     --out.  A package error ends the command with one line on stderr and
     no bundle: exit 2 for a ConfigError, 3 for every other IonPhotonError.
+    An OSError while writing --out also ends in one line, with exit 2; the
+    files written before it stay.
     """
 
     @functools.wraps(fn)
@@ -67,7 +70,11 @@ def _subcommand(fn):
         except IonPhotonError as exc:
             click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(3)
-        out = bundle.write(out_dir)
+        try:
+            out = bundle.write(out_dir)
+        except OSError as exc:
+            click.echo(f"error: cannot write the bundle to {out_dir}: {exc}", file=sys.stderr)
+            sys.exit(2)
         click.echo(f"wrote {len(bundle.files) + 1} files to {out}", file=sys.stdout)
 
     guarded = click.option(

@@ -243,12 +243,11 @@ def crystal_cases(cfg: ConfigData) -> list[CrystalCase]:
 def single_case(cfg: ConfigData, command: str) -> CrystalCase:
     """The one chain configuration of a single-configuration command."""
     cases = crystal_cases(cfg)
-    if len(cases) != 1:
+    if len(cases) != 1 or "crystal" not in cfg.sections():
         raise ConfigError(f"{command} needs exactly one [crystal] section")
     case = cases[0]
     if case.traps.n_ions > gates.MAX_IONS:   # each gate is a dense 2^N x 2^N unitary
-        section = "crystal" if "crystal" in cfg.sections() else f"case.{case.label}"
-        raise ConfigError(f"[{section}] n_ions: {command} simulates at most "
+        raise ConfigError(f"[crystal] n_ions: {command} simulates at most "
                           f"{gates.MAX_IONS} ions, got {case.traps.n_ions}")
     return case
 
@@ -284,6 +283,9 @@ def sweep_grid(cfg: ConfigData) -> tuple[list[float], list[float]]:
 def experiment_from(cfg: ConfigData, seed_override=None) -> protocol.ExperimentConfig:
     """Assemble the full protocol configuration from a config file."""
     case = single_case(cfg, "run")
+    if case.traps.n_ions < protocol.MIN_PROTOCOL_IONS:
+        raise ConfigError(f"[crystal] n_ions: run needs at least "
+                          f"{protocol.MIN_PROTOCOL_IONS} ions, got {case.traps.n_ions}")
     setup = cavity_from(cfg)
     name, seed = "[run] seed", cfg.get_int("run", "seed", default=1)
     if seed_override is not None:

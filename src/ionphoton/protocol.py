@@ -116,6 +116,44 @@ def _photon_label(index: int, n: int) -> str:
     return " ".join(PHOTON_CHARS[b] for b in bits)
 
 
+def _photon_states(amps: np.ndarray) -> list[str]:
+    """format_photon_state of each row of ``amps``, in one array pass;
+    only the strings are built row by row."""
+    rows, dim = amps.shape
+    n = int(round(math.log2(dim))) if dim > 1 else 1
+    labels = [_photon_label(i, n) for i in range(dim)]
+    mags = np.abs(amps)
+    peak = mags.max(axis=1)
+    keep = mags > 1e-10 * peak[:, None]
+    # the anchor is the highest-index kept term; a zero row keeps none
+    last = dim - 1 - np.argmax(keep[:, ::-1], axis=1)
+    anchor = np.where(peak > 0, amps[np.arange(rows), last], 1)
+    # hypot, as scalar abs() computes it; np.abs of a complex array may round differently
+    work = amps * (np.hypot(anchor.real, anchor.imag) / anchor)[:, None]
+    counts = keep.sum(axis=1)
+    balanced = (counts == 2) & np.all(
+        ~keep | ((np.abs(mags - 1 / math.sqrt(2)) < 1e-9) & (np.abs(work.imag) < 1e-10)),
+        axis=1,
+    )
+    rr, cc = np.nonzero(keep)   # row-major: each row's kept terms in index order
+    cols, values = cc.tolist(), work[rr, cc].tolist()
+    out, start = [], 0
+    for end, is_balanced in zip(np.cumsum(counts).tolist(), balanced.tolist()):
+        terms = list(zip(values[start:end], cols[start:end]))
+        start = end
+        if not terms:
+            out.append("0")
+        elif is_balanced:   # positive term first, then by index
+            (_, i), (neg, j) = sorted((c.real <= 0, i) for c, i in terms)
+            out.append(f"(+|{labels[i]}> {'-' if neg else '+'} |{labels[j]}>)/sqrt2")
+        else:
+            out.append(" ".join(
+                (f"{c.real:+.6g}" if abs(c.imag) < 1e-12 else f"+({c:.6g})") + f"|{labels[i]}>"
+                for c, i in terms
+            ))
+    return out
+
+
 def format_photon_state(amps: np.ndarray) -> str:
     """Render a photon statevector.
 
@@ -123,33 +161,7 @@ def format_photon_state(amps: np.ndarray) -> str:
     phase fixed so the highest-index term is positive and positive terms
     listed first; anything else falls back to a plain sum of terms.
     """
-    n = int(round(math.log2(len(amps)))) if len(amps) > 1 else 1
-    mags = np.abs(amps)
-    if mags.max() == 0:
-        return "0"
-    nz = np.nonzero(mags > 1e-10 * mags.max())[0]
-    work = amps.copy()
-    anchor = work[nz[-1]]
-    work = work * (abs(anchor) / anchor)
-    if (
-        len(nz) == 2
-        and np.all(np.abs(mags[nz] - 1 / math.sqrt(2)) < 1e-9)
-        and np.all(np.abs(work[nz].imag) < 1e-10)
-    ):
-        terms = sorted(
-            ((1 if work[i].real > 0 else -1, int(i)) for i in nz),
-            key=lambda t: (-t[0], t[1]),
-        )
-        body = f"+|{_photon_label(terms[0][1], n)}>"
-        for sign, i in terms[1:]:
-            body += f" {'+' if sign > 0 else '-'} |{_photon_label(i, n)}>"
-        return f"({body})/sqrt2"
-    parts = []
-    for i in nz:
-        c = work[int(i)]
-        coef = f"{c.real:+.6g}" if abs(c.imag) < 1e-12 else f"+({c:.6g})"
-        parts.append(f"{coef}|{_photon_label(int(i), n)}>")
-    return " ".join(parts)
+    return _photon_states(np.asarray(amps)[None, :])[0]
 
 
 def outcome_table(u: np.ndarray) -> OutcomeTable:
@@ -161,19 +173,10 @@ def outcome_table(u: np.ndarray) -> OutcomeTable:
     state in row s of U, with probability |U[s]|^2 / 2^N.
     """
     n = len(u).bit_length() - 1
-    rows = []
-    for s in range(2**n):
-        weight = float(np.sum(np.abs(u[s]) ** 2))
-        photon = u[s] / math.sqrt(weight)
-        ions = "".join(SPIN_CHARS[(s >> (n - 1 - i)) & 1] for i in range(n))
-        rows.append(
-            OutcomeRow(
-                ions=ions,
-                photon_amplitudes=photon,
-                expression=format_photon_state(photon),
-                probability=weight / 2**n,
-            )
-        )
+    weights = np.sum(np.abs(u) ** 2, axis=1)
+    photons = u / np.sqrt(weights)[:, None]
+    ions = ["".join(SPIN_CHARS[(s >> (n - 1 - i)) & 1] for i in range(n)) for s in range(2**n)]
+    rows = map(OutcomeRow, ions, photons, _photon_states(photons), (weights / 2**n).tolist())
     return OutcomeTable(n_ions=n, rows=tuple(rows))
 
 

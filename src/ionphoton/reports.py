@@ -3,7 +3,8 @@
 Rules that make bundles byte-identical across reruns and machines:
 floats are written with their shortest exact round-trip representation
 (Python ``repr``), newlines are always LF, JSON keys are sorted, and no
-timestamps or environment data are recorded.  The manifest is written last
+timestamps or environment data are recorded.  outcome_table.json is
+filled into a template that writes the bytes json_bytes would.  The manifest is written last
 and lists every emitted file with its SHA-256 and byte count.
 """
 
@@ -218,21 +219,24 @@ def gates_bundle(report: dict, text_lines: list[str]) -> ReportBundle:
 # run command
 
 
-def outcome_table_doc(table: protocol.OutcomeTable) -> dict:
-    return {
-        "n_ions": table.n_ions,
-        "rows": [
-            {
-                "ions": row.ions,
-                "photon_state": row.expression,
-                "probability": row.probability,
-                "amplitudes": [
-                    [amp.real, amp.imag] for amp in row.photon_amplitudes
-                ],
-            }
-            for row in table.rows
-        ],
-    }
+def outcome_table_json(table: protocol.OutcomeTable) -> bytes:
+    """outcome_table.json, byte for byte what json_bytes writes for the table.
+
+    json.dumps with ``indent`` runs Python's pure-Python encoder, one
+    generator step per amplitude; here each row's 2^(N+1) floats fill one
+    %r template, with the keys in sorted order.
+    """
+    pair = "        [\n          %r,\n          %r\n        ]"
+    block = '    {\n      "amplitudes": [\n' + ",\n".join([pair] * 2**table.n_ions) + "\n      ],\n"
+    rows = [
+        block % tuple(row.photon_amplitudes.view(np.float64).tolist())
+        + f'      "ions": {json.dumps(row.ions)},\n'
+        f'      "photon_state": {json.dumps(row.expression)},\n'
+        f'      "probability": {row.probability!r}\n    }}'
+        for row in table.rows
+    ]
+    return (f'{{\n  "n_ions": {table.n_ions},\n  "rows": [\n'
+            + ",\n".join(rows) + "\n  ]\n}\n").encode()
 
 
 def run_report_doc(report: protocol.RunReport) -> dict:
@@ -256,7 +260,7 @@ def run_bundle(report: protocol.RunReport, fmt_choice: str) -> ReportBundle:
     bundle = ReportBundle("run")
     table = report.table
     if fmt_choice == "json":
-        bundle.add("outcome_table.json", json_bytes(outcome_table_doc(table)))
+        bundle.add("outcome_table.json", outcome_table_json(table))
     else:
         bundle.add("outcome_table.csv", csv_bytes(
             ["ions", "probability", "photon_state"],

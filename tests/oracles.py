@@ -4,8 +4,10 @@ Nothing here may call the production code paths it verifies: the cavity
 integrator is a plain fixed-step RK4 on the raw non-Hermitian Schrodinger
 equation, the equilibrium oracle is 1-D coordinate-descent energy
 minimization, the zz and entangling references are index arithmetic on
-the basis states, the outcome tables are typed in by hand, and the trial
-substreams come from numpy.random itself, one trial at a time.
+the basis states, the outcome tables are typed in by hand, the outcome
+table and its JSON document are built one row and one amplitude at a
+time, and the trial substreams come from numpy.random itself, one trial
+at a time.
 """
 
 import math
@@ -224,6 +226,78 @@ def hand_table_state(table: dict, n: int) -> np.ndarray:
         for pattern, sign in photons.items():
             amps[ion_string_index(ions), photon_pattern_index(pattern)] += sign * norm
     return amps
+
+
+# ---------------------------------------------------------------------------
+# protocol: the outcome table one row at a time, and its JSON document
+
+PHOTON_CHARS = {0: "s+", 1: "s0"}
+SPIN_CHARS = {0: "e", 1: "g"}
+
+
+def _label(index: int, n: int) -> str:
+    return " ".join(PHOTON_CHARS[(index >> (n - 1 - i)) & 1] for i in range(n))
+
+
+def photon_state_by_row(amps: np.ndarray) -> str:
+    """One statevector's expression: the balanced pair "(+|a> - |b>)/sqrt2"
+    with the highest-index term's phase removed, else a plain sum of terms."""
+    n = int(round(math.log2(len(amps)))) if len(amps) > 1 else 1
+    mags = np.abs(amps)
+    if mags.max() == 0:
+        return "0"
+    nz = np.nonzero(mags > 1e-10 * mags.max())[0]
+    anchor = amps[nz[-1]]
+    work = amps * (abs(anchor) / anchor)
+    if (
+        len(nz) == 2
+        and np.all(np.abs(mags[nz] - 1 / SQ2) < 1e-9)
+        and np.all(np.abs(work[nz].imag) < 1e-10)
+    ):
+        terms = sorted(
+            ((1 if work[i].real > 0 else -1, int(i)) for i in nz),
+            key=lambda t: (-t[0], t[1]),
+        )
+        body = f"+|{_label(terms[0][1], n)}>"
+        for sign, i in terms[1:]:
+            body += f" {'+' if sign > 0 else '-'} |{_label(i, n)}>"
+        return f"({body})/sqrt2"
+    parts = []
+    for i in nz:
+        c = work[int(i)]
+        coef = f"{c.real:+.6g}" if abs(c.imag) < 1e-12 else f"+({c:.6g})"
+        parts.append(f"{coef}|{_label(int(i), n)}>")
+    return " ".join(parts)
+
+
+def outcome_rows_by_row(u: np.ndarray) -> list[tuple]:
+    """(ions, photon amplitudes, expression, probability) of each row of U."""
+    n = len(u).bit_length() - 1
+    rows = []
+    for s in range(2**n):
+        weight = float(np.sum(np.abs(u[s]) ** 2))
+        photon = u[s] / math.sqrt(weight)
+        ions = "".join(SPIN_CHARS[(s >> (n - 1 - i)) & 1] for i in range(n))
+        rows.append((ions, photon, photon_state_by_row(photon), weight / 2**n))
+    return rows
+
+
+def outcome_table_doc(table) -> dict:
+    """The document that outcome_table.json holds, for json.dumps."""
+    return {
+        "n_ions": table.n_ions,
+        "rows": [
+            {
+                "ions": row.ions,
+                "photon_state": row.expression,
+                "probability": row.probability,
+                "amplitudes": [
+                    [amp.real, amp.imag] for amp in row.photon_amplitudes
+                ],
+            }
+            for row in table.rows
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -542,7 +542,7 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["gates", "run"])
-    @pytest.mark.parametrize("section", ["crystal", "case.1"])
+    @pytest.mark.parametrize("section", ["crystal"])
     def test_more_ions_than_the_register_cap_exit_2(self, tmp_path, command, section):
         # one past the cap: never run a large N, each gate is 16 * 4^N bytes
         cfg = tmp_path / "n7.cfg"
@@ -553,6 +553,39 @@ class TestErrors:
         assert result.output.startswith(f"config error: [{section}] n_ions")
         assert result.output.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["gates", "run"])
+    @pytest.mark.parametrize("n_ions", [2, gates.MAX_IONS + 1])
+    def test_lone_case_section_exits_2(self, tmp_path, command, n_ions):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace("n_ions = 2", f"n_ions = {n_ions}")
+                       .replace("[crystal]", "[case.1]"))
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {command} needs exactly one [crystal] section\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_single_ion_run_names_crystal_n_ions(self, tmp_path):
+        cfg = tmp_path / "n1.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace("n_ions = 2", "n_ions = 1"))
+        result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == "config error: [crystal] n_ions: run needs at least 2 ions, got 1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["couplings", "--preset", "table1"],
+        ["run", "--preset", "run_n2", "--trials", "10", "--format", "json"],
+    ], ids=["couplings", "run"])
+    def test_unwritable_out_exits_2_with_one_line(self, tmp_path, args):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        result = run_cli(args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: cannot write the bundle to {out}: ")
+        assert result.stderr.count("\n") == 1
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("command", ["emission", "run"])
     @pytest.mark.parametrize("key", ["Omega_Mrad_s", "h_Mrad_s", "kappa_Mrad_s"])

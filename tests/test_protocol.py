@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from ionphoton import cavity, crystal, gates, protocol
+from ionphoton import cavity, crystal, gates, protocol, reports
 from ionphoton.errors import DomainError, UncompilableError
 
 import oracles
@@ -320,3 +320,74 @@ class TestFivePhotonCase:
             assert row.probability == pytest.approx(1 / 32, abs=1e-12)
         per_state, _ = protocol.success_rate(5, probs)
         assert per_state == pytest.approx(1 / 32, abs=1e-12)
+
+
+@pytest.mark.parametrize("active_on", ["e", "g"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_table_is_bit_identical_to_the_row_by_row_oracle(n, active_on):
+    u = entangled(make_config(n, cnot_active_on=active_on))
+    table = protocol.outcome_table(u)
+    for row, (ions, photon, expression, probability) in zip(
+        table.rows, oracles.outcome_rows_by_row(u), strict=True
+    ):
+        assert (row.ions, row.expression) == (ions, expression)
+        assert type(row.probability) is float and row.probability == probability
+        assert row.photon_amplitudes.tobytes() == photon.tobytes()
+
+
+def test_array_classification_matches_the_row_by_row_oracle():
+    rng = np.random.default_rng(17)
+    dim = 16
+    table = rng.normal(size=(40, dim)) + 1j * rng.normal(size=(40, dim))
+    table[0] = 0.0                                   # the zero row prints "0"
+    for r in range(1, 30):                           # pairs and near-pairs
+        table[r] = 0.0
+        i, j = rng.choice(dim, size=2, replace=False)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        mags = (1 / SQ2, 1 / SQ2) if r < 20 else (0.8, 0.6)
+        table[r, i] = mags[0] * phase * rng.choice([1, -1, 1j])
+        table[r, j] = mags[1] * phase
+        if r % 5 == 0:
+            table[r, (i + 1) % dim if (i + 1) % dim != j else (i + 2) % dim] = 1e-12
+    expressions = protocol._photon_states(table)
+    assert expressions == [oracles.photon_state_by_row(row) for row in table]
+    assert expressions[0] == "0"
+    assert sum(e.endswith("/sqrt2") for e in expressions) >= 10
+    assert expressions == [protocol.format_photon_state(row) for row in table]
+
+
+# outcome_table.json: the template writer against json.dumps of the document
+
+
+@pytest.mark.parametrize("setup", [None, lossy_cavity()], ids=["ideal", "lossy"])
+@pytest.mark.parametrize("active_on", ["e", "g"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_writer_matches_json_dumps_on_run_tables(n, active_on, setup):
+    cfg = make_config(n, setup=setup, cnot_active_on=active_on)
+    table = protocol.sample_run(cfg, 1).table
+    expected = reports.json_bytes(oracles.outcome_table_doc(table))
+    assert reports.outcome_table_json(table) == expected
+
+
+def test_writer_matches_json_dumps_on_edge_values():
+    fallback = protocol.format_photon_state(np.array([0.8, 0.6j, 0.0, 0.0]))
+    assert "sqrt2" not in fallback
+    rows = (
+        protocol.OutcomeRow(
+            ions="ee",
+            photon_amplitudes=np.array([complex(-0.0, 5e-324), complex(1e-17, 1e16),
+                                        complex(0.8, -0.0), 0.6]),
+            expression=fallback,
+            probability=1e16,
+        ),
+        protocol.OutcomeRow(
+            ions="eg",
+            photon_amplitudes=np.array([1.5e-323, -1e-17j, -0.0, 123456789.0 + 0j]),
+            expression='a "quoted" \\ é string',
+            probability=-0.0,
+        ),
+    )
+    table = protocol.OutcomeTable(n_ions=2, rows=rows)
+    expected = reports.json_bytes(oracles.outcome_table_doc(table))
+    assert b"1e+16" in expected and b"5e-324" in expected and b"-0.0" in expected
+    assert reports.outcome_table_json(table) == expected
