@@ -38,7 +38,7 @@ def main():
     """Trapped-ion entangled-photon source simulator."""
 
 
-def _load_config(config_path, preset) -> config.ConfigData:
+def _load_config(config_path, preset) -> dict:
     if (config_path is None) == (preset is None):
         raise ConfigError("give exactly one of --config or --preset")
     if preset is not None:

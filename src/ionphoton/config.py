@@ -2,12 +2,14 @@
 
 Config files are INI-style sections of key=value pairs.  Keys carry their
 unit in the suffix (``d_um``, ``nu_Mrad_s``, ``dBdz_T_per_m``).  ``SCHEMA``
-is the one place where units live: it lists every section and key with the
-factor that converts the written value to SI, so everything downstream
-works in m, kg, s and rad/s.  A value is checked for finiteness after that
+is the one place where keys are typed: it lists every section and key with
+its type, ``int`` or ``str``, or for a number the factor that converts the
+written value to SI, so everything downstream works in m, kg, s and rad/s.
+``load_config`` converts the whole file at once, so an unknown section or
+key, or a malformed value in any section, is a configuration error
+whatever the command reads.  A number is checked for finiteness after its
 conversion, so a finite number that overflows (``kappa_Mrad_s = 1e305``)
-is a configuration error.  Unknown sections or keys are rejected with the
-offending name.
+is a configuration error too.
 
 ``[case.1]``, ``[case.2]``, ... sections describe independent chain
 configurations for table-style sweeps and share the ``[crystal]`` keys;
@@ -25,12 +27,13 @@ from . import cavity, crystal, gates, protocol
 from .constants import ATOMIC_MASS, KRAD_S, MICRON, MRAD_S, YB171_MASS
 from .errors import ConfigError, DomainError
 
-# section -> key (lower case, as parsed) -> SI factor of its value; None marks
-# a key that is not a number in physical units (a label, a count, a seed).
+# section -> key (lower case, as parsed) -> int, str, or the SI factor of a
+# number.  d_um stays in um: the summary reports it as written (x * 1e-6 / 1e-6
+# is not always x), and _traps_for scales it.
 SCHEMA = {
-    "species": {"mass_amu": ATOMIC_MASS, "g_factor": 1.0, "label": None},
+    "species": {"mass_amu": ATOMIC_MASS, "g_factor": 1.0, "label": str},
     "crystal": {  # plus nu_<k>_Mrad_s for trap k, matched by _PER_TRAP_NU
-        "n_ions": None, "d_um": MICRON, "centers_um": MICRON, "nu_mrad_s": MRAD_S,
+        "n_ions": int, "d_um": 1.0, "centers_um": MICRON, "nu_mrad_s": MRAD_S,
         "dbdz_t_per_m": 1.0, "eta_laser": 1.0, "ref_delta_um": MICRON,
         "ref_h_um": MICRON, "ref_eps_max": 1.0, "ref_j12_khz": KRAD_S,
         "ref_j13_khz": KRAD_S,
@@ -38,11 +41,13 @@ SCHEMA = {
     "cavity": {"omega_mrad_s": MRAD_S, "h_mrad_s": MRAD_S, "delta_mrad_s": MRAD_S,
                "kappa_mrad_s": MRAD_S},
     "sweep": {"kappa_grid_mrad_s": MRAD_S, "delta_list_mrad_s": MRAD_S},
-    "protocol": {"cnot_active_on": None, "t0_s": 1.0, "t1_s": 1.0,
+    "protocol": {"cnot_active_on": str, "t0_s": 1.0, "t1_s": 1.0,
                  "collection_efficiency": 1.0},
-    "run": {"trials": None, "seed": None},
+    "run": {"trials": int, "seed": int},
 }
 _PER_TRAP_NU = re.compile(r"nu_[0-9]+_mrad_s")
+# number lists, written 'a,b,c' or 'start:stop:count' (linspace, ends included)
+_LISTS = {"centers_um", "kappa_grid_mrad_s", "delta_list_mrad_s"}
 
 UNITS_HELP = """\
 Configuration unit conventions
@@ -59,89 +64,56 @@ reproduces the reference equilibria and couplings, and presets rely on it.
 """
 
 
-def _keys(section: str) -> dict:
-    """The key table of a section; every [case.N] shares [crystal]'s."""
-    name = "crystal" if section.startswith("case.") else section
+def _kinds(section: str, keys: list[str]) -> dict:
+    """{key: its SCHEMA entry} for a section's keys; unknown names raise."""
+    name = "crystal" if section.startswith("case.") else section   # [case.N] too
     if name not in SCHEMA:
         raise ConfigError(f"unknown section [{section}]")
-    return SCHEMA[name]
+    kinds = {}
+    for key in sorted(keys):
+        per_trap_nu = name == "crystal" and _PER_TRAP_NU.fullmatch(key)
+        kinds[key] = MRAD_S if per_trap_nu else SCHEMA[name].get(key)
+        if kinds[key] is None:
+            raise ConfigError(f"[{section}] unknown key '{key}'")
+    return kinds
 
 
-def _unit(section: str, key: str):
-    """SI factor of a key (None for a label, count or seed); unknown keys raise."""
-    keys = _keys(section)
-    if key in keys:
-        return keys[key]
-    if keys is SCHEMA["crystal"] and _PER_TRAP_NU.fullmatch(key):
-        return MRAD_S
-    raise ConfigError(f"[{section}] unknown key '{key}'")
-
-
-class ConfigData:
-    """Validated key-value view over one parsed config file."""
-
-    def __init__(self, parser: configparser.ConfigParser):
-        self._p = parser
-
-    def sections(self):
-        return self._p.sections()
-
-    def get(self, section: str, key: str, default=None, required: bool = False):
-        if self._p.has_option(section, key):
-            return self._p.get(section, key)
-        if required:
-            raise ConfigError(f"[{section}] missing required key '{key}'")
-        return default
-
-    def get_float(self, section, key, default=None, required=False):
-        """The value in SI units, or ``default`` (already SI) when absent."""
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
-        return _si(section, key, [value])[0]
-
-    def get_floats(self, section, key, required=False):
-        """A list 'a,b,c' or 'start:stop:count' (linspace) in SI units, or None."""
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return None
-        try:
-            if ":" in raw:
-                start, stop, count = raw.split(":")
-                ends = [float(start), float(stop)]
-                _si(section, key, ends)   # no nan or inf into linspace
-                values = np.linspace(*ends, int(count)).tolist()
-            else:
-                values = [float(x) for x in raw.split(",")]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: bad number list: {raw!r}") from None
-        return _si(section, key, values)
-
-    def get_int(self, section, key, default=None, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
-
-
-def _si(section, key, values: list[float]) -> list[float]:
-    """Scale by the key's SI factor, then reject nan and +-inf, overflow included."""
-    factor = _unit(section, key)
+def _scaled(section: str, key: str, values: list[float], factor: float) -> list[float]:
+    """``values`` times ``factor``; nan and +-inf, overflow included, raise."""
     scaled = [v * factor for v in values]
     if not all(math.isfinite(v) for v in scaled):
         raise ConfigError(f"[{section}] {key}: values must be finite")
     return scaled
 
 
-def load_config(text: str) -> ConfigData:
-    """Parse and validate a config file's text."""
+def _parse(section: str, key: str, raw: str, kind):
+    """``raw`` as ``kind``: a str, an int, or a number or number list in SI units."""
+    if kind in (int, str):
+        try:
+            return kind(raw)   # only int() can fail
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+    try:
+        if key not in _LISTS:
+            values = [float(raw)]
+        elif ":" in raw:
+            start, stop, count = raw.split(":")
+            ends = [float(start), float(stop)]
+            _scaled(section, key, ends, kind)   # no nan or inf into linspace
+            if int(count) > 10**6:   # a few bytes must not ask for terabytes
+                raise ConfigError(f"[{section}] {key}: at most 10**6 values")
+            values = np.linspace(*ends, int(count)).tolist()
+        else:
+            values = [float(x) for x in raw.split(",")]
+    except ValueError:
+        what = "bad number list" if key in _LISTS else "not a number"
+        raise ConfigError(f"[{section}] {key}: {what}: {raw!r}") from None
+    values = _scaled(section, key, values, kind)
+    return values if key in _LISTS else values[0]
+
+
+def load_config(text: str) -> dict:
+    """A config file's text as {section: {key: value}}, typed and in SI units."""
     parser = configparser.ConfigParser(
         delimiters=("=",), comment_prefixes=("#",), inline_comment_prefixes=("#",),
         strict=True, interpolation=None,
@@ -150,11 +122,24 @@ def load_config(text: str) -> ConfigData:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
-    for section in parser.sections():
-        _keys(section)
-        for key in sorted(parser.options(section)):
-            _unit(section, key)
-    return ConfigData(parser)
+    kinds = {s: _kinds(s, parser.options(s)) for s in parser.sections()}   # names first
+    return {section: {key: _parse(section, key, parser.get(section, key), kind)
+                      for key, kind in keys.items()}
+            for section, keys in kinds.items()}
+
+
+def _get(cfg: dict, section: str, key: str, default=None, required: bool = False):
+    """[section] key from a loaded config, or ``default`` (already SI) when absent."""
+    if required and key not in cfg.get(section, {}):
+        raise ConfigError(f"[{section}] missing required key '{key}'")
+    return cfg.get(section, {}).get(key, default)
+
+
+def _run_setting(cfg: dict, key: str, default: int, override) -> tuple[str, int]:
+    """(name, value) of [run] ``key``, or of its CLI option when given."""
+    if override is not None:
+        return f"--{key}", override
+    return f"[run] {key}", _get(cfg, "run", key, default=default)
 
 
 def _built(section: str, make, *args, **kwargs):
@@ -165,35 +150,34 @@ def _built(section: str, make, *args, **kwargs):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def species_from(cfg: ConfigData) -> crystal.IonSpecies:
-    mass = cfg.get_float("species", "mass_amu", default=YB171_MASS)
-    g = cfg.get_float("species", "g_factor", default=2.0)
-    label = cfg.get("species", "label", default="Yb-171")
+def species_from(cfg: dict) -> crystal.IonSpecies:
+    mass = _get(cfg, "species", "mass_amu", default=YB171_MASS)
+    g = _get(cfg, "species", "g_factor", default=2.0)
+    label = _get(cfg, "species", "label", default="Yb-171")
     return _built("species", crystal.IonSpecies, mass=mass, g_factor=g, label=label)
 
 
-def _traps_for(cfg: ConfigData, section: str) -> tuple[crystal.TrapArray, float | None]:
-    n = cfg.get_int(section, "n_ions", required=True)
+def _traps_for(cfg: dict, section: str) -> tuple[crystal.TrapArray, float | None]:
+    """The traps of a chain section, and its d_um as written (None if absent)."""
+    n = _get(cfg, section, "n_ions", required=True)
     if n < 1:
         raise ConfigError(f"[{section}] n_ions must be >= 1")
-    spacing = cfg.get_float(section, "d_um")
-    centers = cfg.get_floats(section, "centers_um")
-    if (spacing is None) == (centers is None):
+    d_um = _get(cfg, section, "d_um")
+    centers = _get(cfg, section, "centers_um")
+    if (d_um is None) == (centers is None):
         raise ConfigError(f"[{section}] give exactly one of d_um or centers_um")
-    nu_common = cfg.get_float(section, "nu_mrad_s")
-    freqs = [cfg.get_float(section, f"nu_{k}_mrad_s", default=nu_common)
-             for k in range(1, n + 1)]
+    nu_common = _get(cfg, section, "nu_mrad_s")
+    freqs = [_get(cfg, section, f"nu_{k}_mrad_s", default=nu_common) for k in range(1, n + 1)]
     if None in freqs:
         k = freqs.index(None) + 1
         raise ConfigError(f"[{section}] needs nu_Mrad_s or nu_{k}_Mrad_s for trap {k}")
     if centers is not None and len(centers) != n:
         raise ConfigError(f"[{section}] centers_um must list {n} values")
     if centers is None:
-        traps = _built(section, crystal.uniform_traps, n, spacing, freqs)
+        traps = _built(section, crystal.uniform_traps, n, d_um * MICRON, freqs)
     else:
         traps = _built(section, crystal.TrapArray, tuple(centers), tuple(freqs))
-    # the summary reports d_um as written: x * 1e-6 / 1e-6 is not always x
-    return traps, None if spacing is None else float(cfg.get(section, "d_um"))
+    return traps, d_um
 
 
 @dataclass(frozen=True)
@@ -213,37 +197,32 @@ _REFS = {"ref_delta_um": "delta_m", "ref_h_um": "h_m", "ref_eps_max": "eps_max",
          "ref_j12_khz": "j12_rad_s", "ref_j13_khz": "j13_rad_s"}
 
 
-def _case_from_section(cfg: ConfigData, section: str, species) -> CrystalCase:
+def _case_from_section(cfg: dict, section: str, species) -> CrystalCase:
     traps, d_um = _traps_for(cfg, section)
-    dbdz = cfg.get_float(section, "dbdz_t_per_m", required=True)
+    dbdz = _get(cfg, section, "dbdz_t_per_m", required=True)
     gradient = _built(section, crystal.FieldGradient, dBdz=dbdz)
-    eta = cfg.get_float(section, "eta_laser", default=0.1)
-    refs = {}
-    for key, name in _REFS.items():
-        value = cfg.get_float(section, key)
-        if value is not None:
-            refs[name] = value
+    eta = _get(cfg, section, "eta_laser", default=0.1)
+    if eta < 0:
+        raise ConfigError(f"[{section}] eta_laser must be >= 0")
+    refs = {name: cfg[section][key] for key, name in _REFS.items() if key in cfg[section]}
     label = section.split(".", 1)[1] if "." in section else section
     return CrystalCase(label, traps, gradient, species, eta, d_um, refs)
 
 
-def crystal_cases(cfg: ConfigData) -> list[CrystalCase]:
+def crystal_cases(cfg: dict) -> list[CrystalCase]:
     """All chain configurations in the file ([crystal] or [case.*] sections)."""
     species = species_from(cfg)
-    sections = ["crystal"] if "crystal" in cfg.sections() else []
-    sections += sorted(
-        (s for s in cfg.sections() if s.startswith("case.")),
-        key=lambda s: (len(s), s),
-    )
+    sections = ["crystal"] if "crystal" in cfg else []
+    sections += sorted((s for s in cfg if s.startswith("case.")), key=lambda s: (len(s), s))
     if not sections:
         raise ConfigError("no [crystal] or [case.*] section found")
     return [_case_from_section(cfg, s, species) for s in sections]
 
 
-def single_case(cfg: ConfigData, command: str) -> CrystalCase:
+def single_case(cfg: dict, command: str) -> CrystalCase:
     """The one chain configuration of a single-configuration command."""
     cases = crystal_cases(cfg)
-    if len(cases) != 1 or "crystal" not in cfg.sections():
+    if len(cases) != 1 or "crystal" not in cfg:
         raise ConfigError(f"{command} needs exactly one [crystal] section")
     case = cases[0]
     if case.traps.n_ions > gates.MAX_IONS:   # each gate is a dense 2^N x 2^N unitary
@@ -252,25 +231,29 @@ def single_case(cfg: ConfigData, command: str) -> CrystalCase:
     return case
 
 
-def cavity_rates(cfg: ConfigData) -> tuple[float, float, float]:
-    """[cavity] (Omega, h, kappa), rad/s; none may be negative."""
-    rates = tuple(cfg.get_float("cavity", key, required=True)
+def cavity_rates(cfg: dict) -> tuple[float, float, float]:
+    """[cavity] (Omega, h, kappa), rad/s: Omega, h > 0 and kappa >= 0 (0 is ideal)."""
+    rates = tuple(_get(cfg, "cavity", key, required=True)
                   for key in ("omega_mrad_s", "h_mrad_s", "kappa_mrad_s"))
     if min(rates) < 0:
         raise ConfigError("[cavity] Omega, h and kappa must be >= 0")
+    if 0 in rates[:2]:   # kappa = 0 is the ideal cavity; Omega or h = 0 emits nothing
+        raise ConfigError(f"[cavity] {'h' if rates[0] else 'Omega'}_Mrad_s must be > 0")
     return rates
 
 
-def cavity_from(cfg: ConfigData) -> cavity.CavitySetup:
+def cavity_from(cfg: dict) -> cavity.CavitySetup:
     omega, h, kappa = cavity_rates(cfg)
-    delta = cfg.get_float("cavity", "delta_mrad_s", required=True)
+    delta = _get(cfg, "cavity", "delta_mrad_s", required=True)
+    if delta < 0:   # delta = 0 is CavitySetup's own error
+        raise ConfigError("[cavity] delta_Mrad_s must be > 0")
     return _built("cavity", cavity.CavitySetup, omega, h, delta, kappa)
 
 
-def sweep_grid(cfg: ConfigData) -> tuple[list[float], list[float]]:
+def sweep_grid(cfg: dict) -> tuple[list[float], list[float]]:
     """(delta list, kappa grid), both rad/s."""
-    deltas = cfg.get_floats("sweep", "delta_list_mrad_s", required=True)
-    kappas = cfg.get_floats("sweep", "kappa_grid_mrad_s", required=True)
+    deltas = _get(cfg, "sweep", "delta_list_mrad_s", required=True)
+    kappas = _get(cfg, "sweep", "kappa_grid_mrad_s", required=True)
     if not deltas or not kappas:
         raise ConfigError("[sweep] grids must be non-empty")
     if any(d <= 0 for d in deltas):
@@ -280,16 +263,14 @@ def sweep_grid(cfg: ConfigData) -> tuple[list[float], list[float]]:
     return deltas, kappas
 
 
-def experiment_from(cfg: ConfigData, seed_override=None) -> protocol.ExperimentConfig:
-    """Assemble the full protocol configuration from a config file."""
+def experiment_from(cfg: dict, seed_override=None) -> protocol.ExperimentConfig:
+    """Assemble the full protocol configuration from a loaded config."""
     case = single_case(cfg, "run")
     if case.traps.n_ions < protocol.MIN_PROTOCOL_IONS:
         raise ConfigError(f"[crystal] n_ions: run needs at least "
                           f"{protocol.MIN_PROTOCOL_IONS} ions, got {case.traps.n_ions}")
     setup = cavity_from(cfg)
-    name, seed = "[run] seed", cfg.get_int("run", "seed", default=1)
-    if seed_override is not None:
-        name, seed = "--seed", seed_override
+    name, seed = _run_setting(cfg, "seed", 1, seed_override)
     if seed < 0:
         raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
     return _built(
@@ -298,23 +279,17 @@ def experiment_from(cfg: ConfigData, seed_override=None) -> protocol.ExperimentC
         traps=case.traps,
         gradient=case.gradient,
         setup=setup,
-        cnot_active_on=cfg.get("protocol", "cnot_active_on", default="e"),
+        cnot_active_on=_get(cfg, "protocol", "cnot_active_on", default="e"),
         seed=seed,
-        t0=cfg.get_float("protocol", "t0_s"),
-        t1=cfg.get_float("protocol", "t1_s", default=0.0),
-        collection_efficiency=cfg.get_float("protocol", "collection_efficiency", default=1.0),
+        t0=_get(cfg, "protocol", "t0_s"),
+        t1=_get(cfg, "protocol", "t1_s", default=0.0),
+        collection_efficiency=_get(cfg, "protocol", "collection_efficiency", default=1.0),
     )
 
 
-def trials_from(cfg: ConfigData, override=None) -> int:
-    """[run] trials, or ``override`` (--trials) when given; 1..2**32.
-
-    Like [run] seed, the config value must be an integer even when
-    overridden.
-    """
-    name, trials = "[run] trials", cfg.get_int("run", "trials", default=100000)
-    if override is not None:
-        name, trials = "--trials", override
+def trials_from(cfg: dict, override=None) -> int:
+    """[run] trials, or ``override`` (--trials) when given; 1..2**32."""
+    name, trials = _run_setting(cfg, "trials", 100000, override)
     if not 1 <= trials <= protocol.MAX_TRIALS:
         raise ConfigError(f"{name} must be in 1..2**32, got {trials}")
     return trials

@@ -180,21 +180,16 @@ def _potential_gradient(z, traps: TrapArray, species: IonSpecies) -> np.ndarray:
     """dV/dz_m: harmonic restoring force plus Coulomb repulsion, N."""
     zbar = np.asarray(traps.centers)
     nu2 = np.asarray(traps.frequencies) ** 2
-    grad = species.mass * nu2 * (z - zbar)
-    if len(z) > 1:
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        grad -= K_COULOMB * np.sum(np.sign(diff) / diff**2, axis=1)
-    return grad
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, np.inf)   # no self-force: 1/inf = 0, also for one ion
+    coulomb = K_COULOMB * np.sum(np.sign(diff) / diff**2, axis=1)
+    return species.mass * nu2 * (z - zbar) - coulomb
 
 
 def potential_hessian(z, traps: TrapArray, species: IonSpecies) -> np.ndarray:
     """Hessian d^2 V / dz_m dz_n of the chain potential at positions ``z``."""
     z = np.asarray(z, float)
-    n = len(z)
     nu2 = np.asarray(traps.frequencies) ** 2
-    if n == 1:
-        return np.array([[species.mass * nu2[0]]])
     diff = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(diff, np.inf)
     # a gap beyond ~1e102 m overflows diff**3 to inf, and 1/inf = 0 is the

@@ -588,15 +588,66 @@ class TestErrors:
         assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("command", ["emission", "run"])
-    @pytest.mark.parametrize("key", ["Omega_Mrad_s", "h_Mrad_s", "kappa_Mrad_s"])
-    def test_negative_cavity_rate_exits_2(self, tmp_path, command, key):
+    @pytest.mark.parametrize("key,value", [
+        ("Omega_Mrad_s", "-1.0"), ("h_Mrad_s", "-1.0"), ("kappa_Mrad_s", "-1.0"),
+        # kappa = 0 is the ideal cavity, but Omega = 0 or h = 0 emits nothing
+        ("Omega_Mrad_s", "0.0"), ("h_Mrad_s", "0.0"),
+    ], ids=["Omega_Mrad_s", "h_Mrad_s", "kappa_Mrad_s", "Omega_Mrad_s-zero", "h_Mrad_s-zero"])
+    def test_negative_cavity_rate_exits_2(self, tmp_path, command, key, value):
         text = _CAVITY_TEXT + _SWEEP_TEXT if command == "emission" else _RUN_N2_TEXT
         cfg = tmp_path / "neg.cfg"
-        cfg.write_text(re.sub(rf"{key} = \S+", f"{key} = -1.0", text))
+        cfg.write_text(re.sub(rf"{key} = \S+", f"{key} = {value}", text))
         result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert result.output.startswith("config error: [cavity]")
         assert result.output.count("\n") == 1
+        if value == "0.0":
+            assert result.output == f"config error: [cavity] {key} must be > 0\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_detuning_exits_2(self, tmp_path):
+        # only run reads [cavity] delta_Mrad_s; emission sweeps [sweep] delta_list_Mrad_s
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace("delta_Mrad_s = 0.1", "delta_Mrad_s = -0.1"))
+        result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == "config error: [cavity] delta_Mrad_s must be > 0\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,section", [
+        ("couplings", "crystal"), ("couplings", "case.1"), ("gates", "crystal"), ("run", "crystal"),
+    ])
+    def test_negative_eta_laser_exits_2(self, tmp_path, command, section):
+        cfg = tmp_path / "eta.cfg"
+        cfg.write_text(_RUN_N2_TEXT.replace("[crystal]", f"[{section}]\neta_laser = -1"))
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == f"config error: [{section}] eta_laser must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("couplings", _CRYSTAL_N2_TEXT + "[run]\ntrials = abc\n",
+         "[run] trials: not an integer: 'abc'"),
+        ("emission", _CAVITY_TEXT + _SWEEP_TEXT + "[crystal]\nn_ions = x\n",
+         "[crystal] n_ions: not an integer: 'x'"),
+        ("gates", _CRYSTAL_N2_TEXT + "[sweep]\nkappa_grid_Mrad_s = 0:1000\n",
+         "[sweep] kappa_grid_mrad_s: bad number list: '0:1000'"),
+        ("couplings", _CRYSTAL_N2_TEXT + _CAVITY_TEXT.replace("960.0", "1e305"),
+         "[cavity] kappa_mrad_s: values must be finite"),
+        ("run", _RUN_N2_TEXT + "[sweep]\ndelta_list_Mrad_s = 0.1,x\n",
+         "[sweep] delta_list_mrad_s: bad number list: '0.1,x'"),
+        # the count alone would ask numpy for 72.8 TiB
+        ("couplings", _CRYSTAL_N2_TEXT + "[sweep]\nkappa_grid_Mrad_s = 0:1:10000000000000\n",
+         "[sweep] kappa_grid_mrad_s: at most 10**6 values"),
+    ], ids=["couplings-run", "emission-crystal", "gates-sweep", "couplings-cavity", "run-sweep",
+            "couplings-sweep-count"])
+    def test_malformed_value_in_an_unread_section_exits_2(self, tmp_path, command, text, message):
+        # every value is converted at load, whatever the command reads
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_trial_cap_is_inclusive(self):
