@@ -1,9 +1,11 @@
 """Batch front-end: couplings, emission, gates and run subcommands.
 
 Each subcommand reads one plain-text config (``--config`` file or a named
-``--preset``), computes its artifacts and writes a reproducible report
-bundle to ``--out``.  Exit codes: 0 success, 2 configuration problem or
-an ``--out`` that cannot be written, 3 numerical/solver failure.
+``--preset``) and writes a reproducible report bundle to ``--out``.  This
+module is option plumbing and output echoes only; ``config`` checks the
+file (at most 200 ions per chain, 10**5 emission sweep points) and
+``reports`` computes each bundle.  Exit codes: 0 success, 2 configuration
+problem or an ``--out`` that cannot be written, 3 numerical/solver failure.
 Environment variables are never consulted.
 
 Every ``click.echo`` names its stream.  Without ``file=``, click caches
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import cavity, config, crystal, gates, protocol, reports
+from . import config, protocol, reports
 from .errors import ConfigError, IonPhotonError
 
 
@@ -114,63 +116,16 @@ def emission(cfg, fmt):
     The detunings are [sweep] delta_list_Mrad_s; the summary takes the
     decay rate [cavity] kappa_Mrad_s.
     """
-    omega, h, kappa = config.cavity_rates(cfg)
-    deltas, kappas = config.sweep_grid(cfg)
-    sweep = cavity.fig2_sweep(omega, h, deltas, kappas)
-    summary = [
-        [p.delta, cavity.effective_rabi(omega, h, p.delta),
-         p.kappa, p.tau_star, p.p_single, p.p_pair]
-        for p in cavity.fig2_sweep(omega, h, deltas, [kappa])
-    ]
-    return reports.emission_bundle(sweep, summary, fmt)
+    return reports.emission_bundle(config.cavity_rates(cfg), *config.sweep_grid(cfg), fmt)
 
 
 @main.command(name="gates")
 @_subcommand
 def gates_cmd(cfg):
     """CNOT polarity checks and refocusing verification."""
-    case = config.single_case(cfg, "gates")
-    _, _, coupling, _ = crystal.solve_chain(case.traps, case.gradient, case.species)
-
-    prod_g = gates.cnot_product_matrix(active_on="g")
-    prod_e = gates.cnot_product_matrix(active_on="e")
-    fid_g = gates.gate_fidelity(prod_g, gates.ideal_cnot(2, 0, 1, "g"))
-    fid_e = gates.gate_fidelity(prod_e, gates.ideal_cnot(2, 0, 1, "e"))
-
-    lines = [
-        "two-qubit controlled-X product checks",
-        f"  fidelity(six-factor product, ideal CX active on |g>) = {fid_g!r}",
-        f"  fidelity(control-z-negated variant, ideal CX active on |e>) = {fid_e!r}",
-        "  six-factor product matrix, basis |ee>,|eg>,|ge>,|gg>:",
-    ]
-    lines += reports.matrix_lines(prod_g, ["ee", "eg", "ge", "gg"])
-    lines.append(gates.POLARITY_DIAGNOSTIC)
-    lines.append("refocusing verification over the configured couplings:")
-
-    n = case.traps.n_ions
-    refocused = []
-    for target in range(1, n):
-        seq = gates.cnot_sequence(coupling.J, 0, target, active_on="e")
-        u = gates.sequence_unitary(seq, coupling.J)
-        ideal = gates.ideal_cnot(n, 0, target, "e")
-        fid = gates.gate_fidelity(u, ideal)
-        refocused.append(
-            {"target": target + 1, "fidelity": fid,
-             "duration_s": seq.total_duration}
-        )
-        lines.append(
-            f"  CNOT 1->{target + 1}: fidelity deficit = {1.0 - fid!r}, "
-            f"duration = {seq.total_duration!r} s"
-        )
-
-    report = {
-        "fidelity_product_vs_g_active": fid_g,
-        "fidelity_variant_vs_e_active": fid_e,
-        "refocused_cnots": refocused,
-        "diagnostic": gates.POLARITY_DIAGNOSTIC,
-    }
-    click.echo("\n".join(lines), file=sys.stdout)
-    return reports.gates_bundle(report, lines)
+    bundle = reports.gates_bundle(config.single_case(cfg, "gates"))
+    click.echo(bundle.files["gates_report.txt"].decode(), nl=False, file=sys.stdout)
+    return bundle
 
 
 @main.command()

@@ -46,6 +46,9 @@ SCHEMA = {
     "run": {"trials": int, "seed": int},
 }
 _PER_TRAP_NU = re.compile(r"nu_[0-9]+_mrad_s")
+# size caps, so a few bytes of config cannot ask for unbounded work (stated in the README)
+MAX_CHAIN_IONS = 200
+MAX_SWEEP_POINTS = 10**5
 # number lists, written 'a,b,c' or 'start:stop:count' (linspace, ends included)
 _LISTS = {"centers_um", "kappa_grid_mrad_s", "delta_list_mrad_s"}
 
@@ -160,8 +163,8 @@ def species_from(cfg: dict) -> crystal.IonSpecies:
 def _traps_for(cfg: dict, section: str) -> tuple[crystal.TrapArray, float | None]:
     """The traps of a chain section, and its d_um as written (None if absent)."""
     n = _get(cfg, section, "n_ions", required=True)
-    if n < 1:
-        raise ConfigError(f"[{section}] n_ions must be >= 1")
+    if not 1 <= n <= MAX_CHAIN_IONS:
+        raise ConfigError(f"[{section}] n_ions must be in 1..{MAX_CHAIN_IONS}, got {n}")
     d_um = _get(cfg, section, "d_um")
     centers = _get(cfg, section, "centers_um")
     if (d_um is None) == (centers is None):
@@ -256,6 +259,9 @@ def sweep_grid(cfg: dict) -> tuple[list[float], list[float]]:
     kappas = _get(cfg, "sweep", "kappa_grid_mrad_s", required=True)
     if not deltas or not kappas:
         raise ConfigError("[sweep] grids must be non-empty")
+    if len(deltas) * len(kappas) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"[sweep] delta_list_Mrad_s x kappa_grid_Mrad_s: at most "
+                          f"{MAX_SWEEP_POINTS} points, got {len(deltas) * len(kappas)}")
     if any(d <= 0 for d in deltas):
         raise ConfigError("[sweep] detunings must be positive")
     if any(k < 0 for k in kappas):

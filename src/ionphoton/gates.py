@@ -323,3 +323,8 @@ def cnot_sequence(coupling, control: int, target: int, active_on: str = "e") -> 
         Rotation(target, "y", math.pi / 2),
         GlobalPhase(phase),
     ))
+
+
+def cnots_from_first(coupling, active_on: str = "e") -> list[PulseSequence]:
+    """Compiled CNOTs from ion 1 to ions 2..N over ``coupling``, in run order."""
+    return [cnot_sequence(coupling, 0, t, active_on=active_on) for t in range(1, len(coupling))]

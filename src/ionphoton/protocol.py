@@ -86,9 +86,9 @@ def chain_coupling(cfg: ExperimentConfig) -> crystal.CouplingMatrix:
 def entangle_stage(cnots, coupling) -> np.ndarray:
     """Ion unitary U = H_1 C_{1->N} ... C_{1->2}.
 
-    ``cnots`` are the compiled CNOTs from ion 1 to ions 2..N, in run order;
-    they run as one pulse sequence over the coupling array ``coupling``
-    (rad/s), with the spectator couplings refocused away.
+    ``cnots`` are the CNOTs of ``gates.cnots_from_first``, in run order; they
+    run as one pulse sequence over the coupling array ``coupling`` (rad/s),
+    with the spectator couplings refocused away.
     """
     elements = tuple(e for seq in cnots for e in seq.elements)
     u = gates.sequence_unitary(gates.PulseSequence(elements), coupling)
@@ -232,10 +232,7 @@ def sample_run(cfg: ExperimentConfig, trials: int) -> RunReport:
         raise DomainError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     coupling = chain_coupling(cfg)
     probs = emission_stage(cfg)
-    cnots = [
-        gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on)
-        for t in range(1, cfg.n_ions)
-    ]
+    cnots = gates.cnots_from_first(coupling.J, cfg.cnot_active_on)
     table = outcome_table(entangle_stage(cnots, coupling.J))
 
     p_total = math.prod(probs)

@@ -1,5 +1,7 @@
 """Deterministic report artifacts: CSV tables, JSON documents, manifest.
 
+Each ``*_bundle`` builds one command's bundle; all but ``run_bundle`` compute what they report.
+
 Rules that make bundles byte-identical across reruns and machines:
 floats are written with their shortest exact round-trip representation
 (Python ``repr``), newlines are always LF, JSON keys are sorted, and no
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crystal, protocol
+from . import cavity, crystal, gates, protocol
 from .constants import KRAD_S, MICRON, MRAD_S
 
 
@@ -170,13 +172,18 @@ def _rel_dev(value, ref):
 # emission command
 
 
-def emission_bundle(sweep_rows, summary_rows, fmt_choice: str) -> ReportBundle:
+def emission_bundle(rates, deltas, kappas, fmt_choice: str) -> ReportBundle:
+    """The sweep over ``deltas`` x ``kappas``, and a summary at ``rates`` (Omega, h, kappa)."""
+    omega, h, kappa = rates
     bundle = ReportBundle("emission")
     sweep_header = ["kappa_rad_s", "delta_rad_s", "tau_star_s", "p_single", "p_pair"]
     sweep_table = [[p.kappa, p.delta, p.tau_star, p.p_single, p.p_pair]
-                   for p in sweep_rows]
+                   for p in cavity.fig2_sweep(omega, h, deltas, kappas)]
     summary_header = ["delta_rad_s", "omega_eff_rad_s", "kappa_rad_s",
                       "tau_star_s", "p_single", "p_pair"]
+    summary_rows = [[p.delta, cavity.effective_rabi(omega, h, p.delta),
+                     p.kappa, p.tau_star, p.p_single, p.p_pair]
+                    for p in cavity.fig2_sweep(omega, h, deltas, [kappa])]
     bundle.add("sweep.csv", csv_bytes(sweep_header, sweep_table))
     bundle.add("summary.csv", csv_bytes(summary_header, summary_rows))
     if fmt_choice == "json":
@@ -208,10 +215,39 @@ def matrix_lines(u: np.ndarray, labels: list[str]) -> list[str]:
     return lines
 
 
-def gates_bundle(report: dict, text_lines: list[str]) -> ReportBundle:
+def gates_bundle(case) -> ReportBundle:
+    """Two-qubit polarity checks, then the fidelity of each CNOT 1->t over the case's couplings."""
+    _, _, coupling, _ = crystal.solve_chain(case.traps, case.gradient, case.species)
+    prod_g = gates.cnot_product_matrix(active_on="g")
+    prod_e = gates.cnot_product_matrix(active_on="e")
+    fid_g = gates.gate_fidelity(prod_g, gates.ideal_cnot(2, 0, 1, "g"))
+    fid_e = gates.gate_fidelity(prod_e, gates.ideal_cnot(2, 0, 1, "e"))
+    lines = [
+        "two-qubit controlled-X product checks",
+        f"  fidelity(six-factor product, ideal CX active on |g>) = {fid_g!r}",
+        f"  fidelity(control-z-negated variant, ideal CX active on |e>) = {fid_e!r}",
+        "  six-factor product matrix, basis |ee>,|eg>,|ge>,|gg>:",
+        *matrix_lines(prod_g, ["ee", "eg", "ge", "gg"]),
+        gates.POLARITY_DIAGNOSTIC,
+        "refocusing verification over the configured couplings:",
+    ]
+    n = case.traps.n_ions
+    refocused = []
+    for target, seq in enumerate(gates.cnots_from_first(coupling.J, "e"), 1):
+        fid = gates.gate_fidelity(gates.sequence_unitary(seq, coupling.J),
+                                  gates.ideal_cnot(n, 0, target, "e"))
+        refocused.append({"target": target + 1, "fidelity": fid,
+                          "duration_s": seq.total_duration})
+        lines.append(f"  CNOT 1->{target + 1}: fidelity deficit = {1.0 - fid!r}, "
+                     f"duration = {seq.total_duration!r} s")
     bundle = ReportBundle("gates")
-    bundle.add("gates_report.txt", ("\n".join(text_lines) + "\n").encode())
-    bundle.add("gates.json", json_bytes(report))
+    bundle.add("gates_report.txt", ("\n".join(lines) + "\n").encode())
+    bundle.add("gates.json", json_bytes({
+        "fidelity_product_vs_g_active": fid_g,
+        "fidelity_variant_vs_e_active": fid_e,
+        "refocused_cnots": refocused,
+        "diagnostic": gates.POLARITY_DIAGNOSTIC,
+    }))
     return bundle
 
 

@@ -10,8 +10,10 @@ Run from the repository root, once with each tree's ``src/`` on
 The jobs are those of every workload in ``perfbench.workloads``, generated
 at workload seed N (default 3).  Each job of workload W writes its bundle
 to ``OUT/W/<job name>/`` through the CLI in process, with the config file
-and arguments the benchmark gives it.  OUT must not exist yet.  The script
-exits 1 if any job fails.
+and arguments the benchmark gives it.  What the job prints on stdout goes
+to ``OUT/W/<job name>.stdout``, with its ``--out`` path written as
+``{out}``, so ``diff -r`` compares what the CLI prints as well as the
+bundles.  OUT must not exist yet.  The script exits 1 if any job fails.
 """
 
 import argparse
@@ -30,16 +32,19 @@ from ionphoton import cli  # noqa: E402
 
 
 def run_job(job: workloads.Job, config_dir: Path, out: Path) -> int:
-    """Run one job through the CLI; its exit code."""
+    """Run one job through the CLI and keep its stdout beside ``out``; its exit code."""
     config_path = config_dir / f"{job.name}.ini"
     config_path.write_text(job.config_text)
     argv = [job.kind, "--config", str(config_path), "--out", str(out), *job.args]
-    with contextlib.redirect_stdout(io.StringIO()):
+    stdout, code = io.StringIO(), 0
+    with contextlib.redirect_stdout(stdout):
         try:
             cli.main.main(args=argv, prog_name="ionphoton", standalone_mode=False)
         except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 1
-    return 0
+            code = exc.code if isinstance(exc.code, int) else 1
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.with_name(f"{out.name}.stdout").write_text(stdout.getvalue().replace(str(out), "{out}"))
+    return code
 
 
 def main(argv=None) -> int:

@@ -234,10 +234,7 @@ def _ideal_config(n_ions: int, seed: int = 1) -> protocol.ExperimentConfig:
 
 def _entangled(cfg: protocol.ExperimentConfig) -> np.ndarray:
     coupling = protocol.chain_coupling(cfg)
-    cnots = [
-        gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on)
-        for t in range(1, cfg.n_ions)
-    ]
+    cnots = gates.cnots_from_first(coupling.J, cfg.cnot_active_on)
     return protocol.entangle_stage(cnots, coupling.J)
 
 

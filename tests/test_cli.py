@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from ionphoton import config, gates
 from ionphoton.cli import main
+from ionphoton.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -205,6 +206,15 @@ class TestGates:
         assert gates.POLARITY_DIAGNOSTIC in result.output
         text = (tmp_path / "g2" / "gates_report.txt").read_text()
         assert gates.POLARITY_DIAGNOSTIC in text
+
+    @pytest.mark.parametrize("preset", ["gates2", "gates3"])
+    def test_stdout_is_the_report_text(self, tmp_path, preset):
+        out = tmp_path / preset
+        result = run_cli(["gates", "--preset", preset, "--out", str(out)])
+        assert result.exit_code == 0
+        *report, wrote = result.stdout.splitlines(keepends=True)
+        assert "".join(report).encode() == (out / "gates_report.txt").read_bytes()
+        assert wrote == f"wrote 3 files to {out}\n"
 
     def test_three_ion_refocusing(self, tmp_path):
         result = run_cli(["gates", "--preset", "gates3", "--out", str(tmp_path / "g3")])
@@ -639,8 +649,10 @@ class TestErrors:
         # the count alone would ask numpy for 72.8 TiB
         ("couplings", _CRYSTAL_N2_TEXT + "[sweep]\nkappa_grid_Mrad_s = 0:1:10000000000000\n",
          "[sweep] kappa_grid_mrad_s: at most 10**6 values"),
+        ("couplings", _CRYSTAL_N2_TEXT + "[sweep]\nkappa_grid_Mrad_s = 0:1:1000001\n",
+         "[sweep] kappa_grid_mrad_s: at most 10**6 values"),
     ], ids=["couplings-run", "emission-crystal", "gates-sweep", "couplings-cavity", "run-sweep",
-            "couplings-sweep-count"])
+            "couplings-sweep-count", "couplings-sweep-count-cap"])
     def test_malformed_value_in_an_unread_section_exits_2(self, tmp_path, command, text, message):
         # every value is converted at load, whatever the command reads
         cfg = tmp_path / "c.cfg"
@@ -654,6 +666,69 @@ class TestErrors:
         text = _RUN_N2_TEXT.replace("trials = 20", f"trials = {2**32}")
         assert config.trials_from(config.load_config(text)) == 2**32
         assert config.trials_from(config.load_config(_RUN_N2_TEXT), override=2**32) == 2**32
+        assert config.trials_from(config.load_config(_RUN_N2_TEXT), override=1) == 1
+        assert config.trials_from(config.load_config(_RUN_N2_TEXT.replace("20", "1"))) == 1
+        too_many = _RUN_N2_TEXT.replace("trials = 20", f"trials = {2**32 + 1}")
+        for text, override in [(too_many, None), (_RUN_N2_TEXT, 2**32 + 1)]:
+            with pytest.raises(ConfigError, match=r"must be in 1\.\.2\*\*32"):
+                config.trials_from(config.load_config(text), override=override)
+
+    @pytest.mark.parametrize("text,read,expected", [
+        (_CRYSTAL_N2_TEXT.replace("n_ions = 2", f"n_ions = {config.MAX_CHAIN_IONS}"),
+         lambda cfg: config.crystal_cases(cfg)[0].traps.n_ions, config.MAX_CHAIN_IONS),
+        (_SWEEP_TEXT.replace("0:1000:3", f"0:1000:{config.MAX_SWEEP_POINTS}"),
+         lambda cfg: len(config.sweep_grid(cfg)[1]), config.MAX_SWEEP_POINTS),
+        ("[sweep]\nkappa_grid_Mrad_s = 0:1:1000000\n",
+         lambda cfg: len(cfg["sweep"]["kappa_grid_mrad_s"]), 10**6),
+    ], ids=["chain-ions", "sweep-points", "list-values"])
+    def test_size_cap_is_inclusive(self, text, read, expected):
+        # read only: nothing the size of the cap is solved or swept
+        assert read(config.load_config(text)) == expected
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("couplings",
+         _CRYSTAL_N2_TEXT.replace("n_ions = 2", f"n_ions = {config.MAX_CHAIN_IONS + 1}"),
+         f"[crystal] n_ions must be in 1..{config.MAX_CHAIN_IONS}, "
+         f"got {config.MAX_CHAIN_IONS + 1}"),
+        ("emission", _CAVITY_TEXT
+         + _SWEEP_TEXT.replace("0:1000:3", f"0:1000:{config.MAX_SWEEP_POINTS + 1}"),
+         f"[sweep] delta_list_Mrad_s x kappa_grid_Mrad_s: at most {config.MAX_SWEEP_POINTS} "
+         f"points, got {config.MAX_SWEEP_POINTS + 1}"),
+        ("emission", _SWEEP_TEXT.replace("= 0.1", "= 0.1,0") + _CAVITY_TEXT,
+         "[sweep] detunings must be positive"),
+        # zero passes the reader's check and meets CavitySetup's own
+        ("run", _RUN_N2_TEXT.replace("delta_Mrad_s = 0.1", "delta_Mrad_s = 0"),
+         "[cavity] Raman channel requires nonzero detuning"),
+        ("couplings", "[species]\nmass_amu = 0\n" + _CRYSTAL_N2_TEXT,
+         "[species] ion mass must be positive, got 0.0"),
+        ("couplings", "[species]\ng_factor = 0\n" + _CRYSTAL_N2_TEXT,
+         "[species] g factor must be positive, got 0.0"),
+        ("couplings", _CRYSTAL_N2_TEXT.replace("5.55", "0"),
+         "[crystal] trap frequencies must be positive"),
+    ], ids=["chain-ions-cap", "sweep-points-cap", "sweep-delta-zero", "cavity-delta-zero",
+            "mass-zero", "g-factor-zero", "nu-zero"])
+    def test_value_just_outside_its_domain_exits_2(self, tmp_path, command, text, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,text,name,read", [
+        # eta_eff = hypot(eta_laser, eps_max)
+        ("couplings", _CRYSTAL_N2_TEXT + "eta_laser = 0\n", "summary.json",
+         lambda doc: doc["cases"][0]["eta_eff"] - doc["cases"][0]["eps_max"]),
+        ("run", _RUN_N2_TEXT + "[protocol]\nt0_s = 0\n", "run_report.json",
+         lambda doc: doc["t0_s"]),
+    ], ids=["eta_laser", "t0_s"])
+    def test_zero_where_zero_is_allowed_exits_0(self, tmp_path, command, text, name, read):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        result = run_cli([command, "--config", str(cfg), "--format", "json", "--out", str(out)])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert read(json.loads((out / name).read_text())) == 0.0
 
 
 class TestGolden:
@@ -744,6 +819,24 @@ def test_fuzzed_config_exits_with_a_documented_code(command, edits):
         assert result.output.startswith("config error:") and result.output.count("\n") == 1
     if result.exit_code == 3:
         assert result.output.startswith("error:") and result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["couplings", "--preset", "table1"], ["couplings", "--preset", "table1", "--format", "json"],
+    ["emission", "--preset", "fig2"], ["emission", "--preset", "fig2", "--format", "json"],
+    ["gates", "--preset", "gates2"],
+    ["run", "--preset", "run_n2", "--trials", "10"],
+    ["run", "--preset", "run_n2", "--trials", "10", "--format", "json"],
+], ids=["couplings-csv", "couplings-json", "emission-csv", "emission-json", "gates",
+        "run-csv", "run-json"])
+def test_stdout_ends_with_the_count_of_files_written(tmp_path, args):
+    out = tmp_path / "o"
+    result = run_cli(args + ["--out", str(out)])
+    assert result.exit_code == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted([*json.loads((out / "manifest.json").read_text())["files"],
+                              "manifest.json"])
+    assert result.stdout.splitlines()[-1] == f"wrote {len(written)} files to {out}"
 
 
 def test_cli_keeps_no_reference_to_the_streams_it_wrote_to(tmp_path):

@@ -45,10 +45,7 @@ def entangled(cfg, coupling=None):
     """Ion unitary of the entangling stage over the chain's couplings."""
     if coupling is None:
         coupling = protocol.chain_coupling(cfg)
-    cnots = [
-        gates.cnot_sequence(coupling.J, 0, t, active_on=cfg.cnot_active_on)
-        for t in range(1, cfg.n_ions)
-    ]
+    cnots = gates.cnots_from_first(coupling.J, cfg.cnot_active_on)
     return protocol.entangle_stage(cnots, coupling.J)
 
 
@@ -303,8 +300,7 @@ def test_rows_match_ideal_oracle_for_random_couplings(n):
     j = rng.uniform(0.5, 3.0, size=(n, n)) * 1e3
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
-    cnots = [gates.cnot_sequence(j, 0, t) for t in range(1, n)]
-    table = protocol.outcome_table(protocol.entangle_stage(cnots, j))
+    table = protocol.outcome_table(protocol.entangle_stage(gates.cnots_from_first(j), j))
     ideal = oracles.ideal_entangle(n, "e")
     for s, row in enumerate(table.rows):
         assert np.max(np.abs(row.photon_amplitudes - ideal[s])) < 1e-9
