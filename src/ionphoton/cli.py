@@ -3,7 +3,7 @@
 Each subcommand reads one plain-text config (``--config`` file or a named
 ``--preset``) and writes a reproducible report bundle to ``--out``.  This
 module is option plumbing and output echoes only; ``config`` checks the
-file (at most 200 ions per chain, 10**5 emission sweep points) and
+file (at most 200 ions in all, 10**5 emission sweep points) and
 ``reports`` computes each bundle.  Exit codes: 0 success, 2 configuration
 problem or an ``--out`` that cannot be written, 3 numerical/solver failure.
 Environment variables are never consulted.

@@ -2,18 +2,24 @@
 
 Config files are INI-style sections of key=value pairs.  Keys carry their
 unit in the suffix (``d_um``, ``nu_Mrad_s``, ``dBdz_T_per_m``).  ``SCHEMA``
-is the one place where keys are typed: it lists every section and key with
-its type, ``int`` or ``str``, or for a number the factor that converts the
-written value to SI, so everything downstream works in m, kg, s and rad/s.
-``load_config`` converts the whole file at once, so an unknown section or
-key, or a malformed value in any section, is a configuration error
-whatever the command reads.  A number is checked for finiteness after its
-conversion, so a finite number that overflows (``kappa_Mrad_s = 1e305``)
-is a configuration error too.
-
-``[case.1]``, ``[case.2]``, ... sections describe independent chain
-configurations for table-style sweeps and share the ``[crystal]`` keys;
-single-configuration commands use one ``[crystal]`` section instead.
+is the one place where keys are typed and bounded: it gives each key its
+kind (``int``, ``str``, or for a number the factor to SI, so everything
+downstream works in m, kg, s and rad/s) and its rule.  ``load_config``
+checks the whole file, whatever the command reads: each number must be
+finite in SI (``kappa_Mrad_s = 1e305`` is not), and each value, or value
+of a list, must obey its rule as written.  The rules: ``> 0`` for
+``mass_amu``, ``g_factor``, every trap nu, Omega, h, delta and
+``delta_list_Mrad_s``; ``>= 0`` for ``dBdz_T_per_m``, ``eta_laser``, kappa,
+``kappa_grid_Mrad_s``, ``t0_s``, ``t1_s`` and ``seed``; ``in [0, 1]`` for
+``collection_efficiency``; ``in 1..200`` for ``n_ions``; ``in 1..2**32``
+for ``trials``; ``'e' or 'g'`` for ``cnot_active_on``; none for ``d_um``,
+``centers_um``, ``label`` and ``ref_*``.  A broken rule reads ``[section]
+key must be <rule>, got <value as written>`` (``--seed`` and ``--trials``
+keep ``[run]``'s rules).  A number list holds at most ``MAX_SWEEP_POINTS``
+values, checked before it is built, and a file's chain sections hold at
+most ``MAX_CHAIN_IONS`` ions in all.  ``[case.1]``, ``[case.2]``, ...
+sections are independent chains for table-style sweeps, with the
+``[crystal]`` keys; single-configuration commands read ``[crystal]``.
 """
 
 import configparser
@@ -27,28 +33,35 @@ from . import cavity, crystal, gates, protocol
 from .constants import ATOMIC_MASS, KRAD_S, MICRON, MRAD_S, YB171_MASS
 from .errors import ConfigError, DomainError
 
-# section -> key (lower case, as parsed) -> int, str, or the SI factor of a
-# number.  d_um stays in um: the summary reports it as written (x * 1e-6 / 1e-6
-# is not always x), and _traps_for scales it.
+# size caps, so a few bytes of config cannot ask for unbounded work (stated in the README)
+MAX_CHAIN_IONS = 200      # per chain section, and in all chain sections of a file
+MAX_SWEEP_POINTS = 10**5  # per number list, and in the emission grid
+_RULES = {   # rule -> its test of a value as written
+    "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1,
+    f"in 1..{MAX_CHAIN_IONS}": lambda v: 1 <= v <= MAX_CHAIN_IONS,
+    "in 1..2**32": lambda v: 1 <= v <= protocol.MAX_TRIALS,
+    "'e' or 'g'": lambda v: v in ("e", "g"),
+}
+# section -> key (lower case, as parsed) -> (int, str or the SI factor of a number; rule or
+# None).  d_um stays in um: the summary reports it as written (x * 1e-6 / 1e-6 is not
+# always x), and _traps_for scales it.
 SCHEMA = {
-    "species": {"mass_amu": ATOMIC_MASS, "g_factor": 1.0, "label": str},
+    "species": {"mass_amu": (ATOMIC_MASS, "> 0"), "g_factor": (1.0, "> 0"), "label": (str, None)},
     "crystal": {  # plus nu_<k>_Mrad_s for trap k, matched by _PER_TRAP_NU
-        "n_ions": int, "d_um": 1.0, "centers_um": MICRON, "nu_mrad_s": MRAD_S,
-        "dbdz_t_per_m": 1.0, "eta_laser": 1.0, "ref_delta_um": MICRON,
-        "ref_h_um": MICRON, "ref_eps_max": 1.0, "ref_j12_khz": KRAD_S,
-        "ref_j13_khz": KRAD_S,
+        "n_ions": (int, f"in 1..{MAX_CHAIN_IONS}"), "d_um": (1.0, None),
+        "centers_um": (MICRON, None), "nu_mrad_s": (MRAD_S, "> 0"),
+        "dbdz_t_per_m": (1.0, ">= 0"), "eta_laser": (1.0, ">= 0"),
+        "ref_delta_um": (MICRON, None), "ref_h_um": (MICRON, None), "ref_eps_max": (1.0, None),
+        "ref_j12_khz": (KRAD_S, None), "ref_j13_khz": (KRAD_S, None),
     },
-    "cavity": {"omega_mrad_s": MRAD_S, "h_mrad_s": MRAD_S, "delta_mrad_s": MRAD_S,
-               "kappa_mrad_s": MRAD_S},
-    "sweep": {"kappa_grid_mrad_s": MRAD_S, "delta_list_mrad_s": MRAD_S},
-    "protocol": {"cnot_active_on": str, "t0_s": 1.0, "t1_s": 1.0,
-                 "collection_efficiency": 1.0},
-    "run": {"trials": int, "seed": int},
+    "cavity": {"omega_mrad_s": (MRAD_S, "> 0"), "h_mrad_s": (MRAD_S, "> 0"),
+               "delta_mrad_s": (MRAD_S, "> 0"), "kappa_mrad_s": (MRAD_S, ">= 0")},
+    "sweep": {"kappa_grid_mrad_s": (MRAD_S, ">= 0"), "delta_list_mrad_s": (MRAD_S, "> 0")},
+    "protocol": {"cnot_active_on": (str, "'e' or 'g'"), "t0_s": (1.0, ">= 0"),
+                 "t1_s": (1.0, ">= 0"), "collection_efficiency": (1.0, "in [0, 1]")},
+    "run": {"trials": (int, "in 1..2**32"), "seed": (int, ">= 0")},
 }
 _PER_TRAP_NU = re.compile(r"nu_[0-9]+_mrad_s")
-# size caps, so a few bytes of config cannot ask for unbounded work (stated in the README)
-MAX_CHAIN_IONS = 200
-MAX_SWEEP_POINTS = 10**5
 # number lists, written 'a,b,c' or 'start:stop:count' (linspace, ends included)
 _LISTS = {"centers_um", "kappa_grid_mrad_s", "delta_list_mrad_s"}
 
@@ -75,7 +88,7 @@ def _kinds(section: str, keys: list[str]) -> dict:
     kinds = {}
     for key in sorted(keys):
         per_trap_nu = name == "crystal" and _PER_TRAP_NU.fullmatch(key)
-        kinds[key] = MRAD_S if per_trap_nu else SCHEMA[name].get(key)
+        kinds[key] = SCHEMA[name].get("nu_mrad_s" if per_trap_nu else key)
         if kinds[key] is None:
             raise ConfigError(f"[{section}] unknown key '{key}'")
     return kinds
@@ -89,34 +102,36 @@ def _scaled(section: str, key: str, values: list[float], factor: float) -> list[
     return scaled
 
 
-def _parse(section: str, key: str, raw: str, kind):
-    """``raw`` as ``kind``: a str, an int, or a number or number list in SI units."""
-    if kind in (int, str):
-        try:
-            return kind(raw)   # only int() can fail
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+def _parse(section: str, key: str, raw: str, kind, rule):
+    """``raw`` as ``kind`` (a str, an int, or a number or number list in SI units)."""
     try:
-        if key not in _LISTS:
+        if kind in (int, str):
+            values = [kind(raw)]   # only int() can fail
+        elif key not in _LISTS:
             values = [float(raw)]
-        elif ":" in raw:
-            start, stop, count = raw.split(":")
-            ends = [float(start), float(stop)]
-            _scaled(section, key, ends, kind)   # no nan or inf into linspace
-            if int(count) > 10**6:   # a few bytes must not ask for terabytes
-                raise ConfigError(f"[{section}] {key}: at most 10**6 values")
-            values = np.linspace(*ends, int(count)).tolist()
         else:
-            values = [float(x) for x in raw.split(",")]
+            parts = raw.split(":")   # [start, stop, count], or one 'a,b,c' part
+            count = int(parts[2]) if len(parts) == 3 else raw.count(",") + 1
+            if count > MAX_SWEEP_POINTS:   # a longer list is never swept
+                raise ConfigError(f"[{section}] {key}: at most {MAX_SWEEP_POINTS} values")
+            if len(parts) == 3:
+                ends = [float(parts[0]), float(parts[1])]
+                _scaled(section, key, ends, kind)   # no nan or inf into linspace
+                values = np.linspace(*ends, count).tolist()
+            else:
+                values = [float(x) for x in raw.split(",")]
     except ValueError:
-        what = "bad number list" if key in _LISTS else "not a number"
+        what = ("not an integer" if kind is int
+                else "bad number list" if key in _LISTS else "not a number")
         raise ConfigError(f"[{section}] {key}: {what}: {raw!r}") from None
-    values = _scaled(section, key, values, kind)
-    return values if key in _LISTS else values[0]
+    scaled = values if kind in (int, str) else _scaled(section, key, values, kind)
+    if rule is not None and not all(map(_RULES[rule], values)):   # as written: factors are > 0
+        raise ConfigError(f"[{section}] {key} must be {rule}, got {raw}")
+    return scaled if key in _LISTS else scaled[0]
 
 
 def load_config(text: str) -> dict:
-    """A config file's text as {section: {key: value}}, typed and in SI units."""
+    """A config file's text as {section: {key: value}}, typed, checked and in SI units."""
     parser = configparser.ConfigParser(
         delimiters=("=",), comment_prefixes=("#",), inline_comment_prefixes=("#",),
         strict=True, interpolation=None,
@@ -126,8 +141,8 @@ def load_config(text: str) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
     kinds = {s: _kinds(s, parser.options(s)) for s in parser.sections()}   # names first
-    return {section: {key: _parse(section, key, parser.get(section, key), kind)
-                      for key, kind in keys.items()}
+    return {section: {key: _parse(section, key, parser.get(section, key), *entry)
+                      for key, entry in keys.items()}
             for section, keys in kinds.items()}
 
 
@@ -138,11 +153,14 @@ def _get(cfg: dict, section: str, key: str, default=None, required: bool = False
     return cfg.get(section, {}).get(key, default)
 
 
-def _run_setting(cfg: dict, key: str, default: int, override) -> tuple[str, int]:
-    """(name, value) of [run] ``key``, or of its CLI option when given."""
-    if override is not None:
-        return f"--{key}", override
-    return f"[run] {key}", _get(cfg, "run", key, default=default)
+def _run_setting(cfg: dict, key: str, default: int, override) -> int:
+    """[run] ``key``, or its CLI option ``--key`` when given, held to the same rule."""
+    if override is None:
+        return _get(cfg, "run", key, default=default)
+    rule = SCHEMA["run"][key][1]
+    if not _RULES[rule](override):
+        raise ConfigError(f"--{key} must be {rule}, got {override}")
+    return override
 
 
 def _built(section: str, make, *args, **kwargs):
@@ -163,8 +181,6 @@ def species_from(cfg: dict) -> crystal.IonSpecies:
 def _traps_for(cfg: dict, section: str) -> tuple[crystal.TrapArray, float | None]:
     """The traps of a chain section, and its d_um as written (None if absent)."""
     n = _get(cfg, section, "n_ions", required=True)
-    if not 1 <= n <= MAX_CHAIN_IONS:
-        raise ConfigError(f"[{section}] n_ions must be in 1..{MAX_CHAIN_IONS}, got {n}")
     d_um = _get(cfg, section, "d_um")
     centers = _get(cfg, section, "centers_um")
     if (d_um is None) == (centers is None):
@@ -205,8 +221,6 @@ def _case_from_section(cfg: dict, section: str, species) -> CrystalCase:
     dbdz = _get(cfg, section, "dbdz_t_per_m", required=True)
     gradient = _built(section, crystal.FieldGradient, dBdz=dbdz)
     eta = _get(cfg, section, "eta_laser", default=0.1)
-    if eta < 0:
-        raise ConfigError(f"[{section}] eta_laser must be >= 0")
     refs = {name: cfg[section][key] for key, name in _REFS.items() if key in cfg[section]}
     label = section.split(".", 1)[1] if "." in section else section
     return CrystalCase(label, traps, gradient, species, eta, d_um, refs)
@@ -219,6 +233,9 @@ def crystal_cases(cfg: dict) -> list[CrystalCase]:
     sections += sorted((s for s in cfg if s.startswith("case.")), key=lambda s: (len(s), s))
     if not sections:
         raise ConfigError("no [crystal] or [case.*] section found")
+    total = sum(_get(cfg, s, "n_ions", required=True) for s in sections)
+    if total > MAX_CHAIN_IONS:   # the work grows as the sum of n^2, at most total^2
+        raise ConfigError(f"n_ions: at most {MAX_CHAIN_IONS} in all chain sections, got {total}")
     return [_case_from_section(cfg, s, species) for s in sections]
 
 
@@ -236,20 +253,13 @@ def single_case(cfg: dict, command: str) -> CrystalCase:
 
 def cavity_rates(cfg: dict) -> tuple[float, float, float]:
     """[cavity] (Omega, h, kappa), rad/s: Omega, h > 0 and kappa >= 0 (0 is ideal)."""
-    rates = tuple(_get(cfg, "cavity", key, required=True)
-                  for key in ("omega_mrad_s", "h_mrad_s", "kappa_mrad_s"))
-    if min(rates) < 0:
-        raise ConfigError("[cavity] Omega, h and kappa must be >= 0")
-    if 0 in rates[:2]:   # kappa = 0 is the ideal cavity; Omega or h = 0 emits nothing
-        raise ConfigError(f"[cavity] {'h' if rates[0] else 'Omega'}_Mrad_s must be > 0")
-    return rates
+    return tuple(_get(cfg, "cavity", key, required=True)
+                 for key in ("omega_mrad_s", "h_mrad_s", "kappa_mrad_s"))
 
 
 def cavity_from(cfg: dict) -> cavity.CavitySetup:
     omega, h, kappa = cavity_rates(cfg)
     delta = _get(cfg, "cavity", "delta_mrad_s", required=True)
-    if delta < 0:   # delta = 0 is CavitySetup's own error
-        raise ConfigError("[cavity] delta_Mrad_s must be > 0")
     return _built("cavity", cavity.CavitySetup, omega, h, delta, kappa)
 
 
@@ -262,10 +272,6 @@ def sweep_grid(cfg: dict) -> tuple[list[float], list[float]]:
     if len(deltas) * len(kappas) > MAX_SWEEP_POINTS:
         raise ConfigError(f"[sweep] delta_list_Mrad_s x kappa_grid_Mrad_s: at most "
                           f"{MAX_SWEEP_POINTS} points, got {len(deltas) * len(kappas)}")
-    if any(d <= 0 for d in deltas):
-        raise ConfigError("[sweep] detunings must be positive")
-    if any(k < 0 for k in kappas):
-        raise ConfigError("[sweep] decay rates must be >= 0")
     return deltas, kappas
 
 
@@ -275,18 +281,14 @@ def experiment_from(cfg: dict, seed_override=None) -> protocol.ExperimentConfig:
     if case.traps.n_ions < protocol.MIN_PROTOCOL_IONS:
         raise ConfigError(f"[crystal] n_ions: run needs at least "
                           f"{protocol.MIN_PROTOCOL_IONS} ions, got {case.traps.n_ions}")
-    setup = cavity_from(cfg)
-    name, seed = _run_setting(cfg, "seed", 1, seed_override)
-    if seed < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
     return _built(
         "protocol", protocol.ExperimentConfig,
         species=case.species,
         traps=case.traps,
         gradient=case.gradient,
-        setup=setup,
+        setup=cavity_from(cfg),
         cnot_active_on=_get(cfg, "protocol", "cnot_active_on", default="e"),
-        seed=seed,
+        seed=_run_setting(cfg, "seed", 1, seed_override),
         t0=_get(cfg, "protocol", "t0_s"),
         t1=_get(cfg, "protocol", "t1_s", default=0.0),
         collection_efficiency=_get(cfg, "protocol", "collection_efficiency", default=1.0),
@@ -295,10 +297,7 @@ def experiment_from(cfg: dict, seed_override=None) -> protocol.ExperimentConfig:
 
 def trials_from(cfg: dict, override=None) -> int:
     """[run] trials, or ``override`` (--trials) when given; 1..2**32."""
-    name, trials = _run_setting(cfg, "trials", 100000, override)
-    if not 1 <= trials <= protocol.MAX_TRIALS:
-        raise ConfigError(f"{name} must be in 1..2**32, got {trials}")
-    return trials
+    return _run_setting(cfg, "trials", 100000, override)
 
 
 # ---------------------------------------------------------------------------

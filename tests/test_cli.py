@@ -359,6 +359,35 @@ _RUN_N2_TEXT = (
     _CRYSTAL_N2_TEXT + "[cavity]\nOmega_Mrad_s = 10.0\nh_Mrad_s = 138.0\n"
     "delta_Mrad_s = 0.1\nkappa_Mrad_s = 0.0\n[run]\ntrials = 20\nseed = 1\n"
 )
+# rule -> (values at its bounds that it accepts, values just past them), as written;
+# an int key takes only the values that int() reads
+_RULE_EDGES = {
+    "> 0": (["5e-324"], ["0", "-5e-324"]),
+    ">= 0": (["0"], ["-5e-324", "-1"]),
+    "in [0, 1]": (["0", "1"], ["-5e-324", "1.0000000000000002"]),
+    f"in 1..{config.MAX_CHAIN_IONS}": (["1", str(config.MAX_CHAIN_IONS)],
+                                       ["0", str(config.MAX_CHAIN_IONS + 1)]),
+    "in 1..2**32": (["1", str(2**32)], ["0", str(2**32 + 1)]),
+    "'e' or 'g'": (["e", "g"], ["E", "eg"]),
+}
+# every key that SCHEMA gives a rule, and the keys it matches by pattern or section
+_RULED_KEYS = [(section, key, kind, rule) for section, keys in config.SCHEMA.items()
+               for key, (kind, rule) in keys.items() if rule is not None]
+_RULED_KEYS += [("crystal", "nu_2_mrad_s", config.SCHEMA["crystal"]["nu_mrad_s"][0], "> 0"),
+                ("case.1", "n_ions", int, f"in 1..{config.MAX_CHAIN_IONS}")]
+
+
+def _edges(side: int) -> list:
+    """pytest params (section, key, value, rule), one per edge value on ``side``."""
+    return [pytest.param(section, key, value, rule, id=f"{section}-{key}-{value}")
+            for section, key, kind, rule in _RULED_KEYS
+            for value in _RULE_EDGES.get(rule, ([], []))[side]
+            if kind is not int or re.fullmatch(r"-?[0-9]+", value)]
+
+
+def _chain_sections(sizes) -> str:
+    return "".join(f"[case.{i}]\nn_ions = {n}\nd_um = 6.0\nnu_Mrad_s = 5.55\n"
+                   f"dBdz_T_per_m = 550.0\n" for i, n in enumerate(sizes, 1))
 
 
 class TestErrors:
@@ -530,11 +559,17 @@ class TestErrors:
     @pytest.mark.parametrize("line,option", [("trials = 20", "--trials"), ("seed = 1", "--seed")])
     def test_overridden_config_value_is_still_checked(self, tmp_path, line, option):
         key = line.split()[0]
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(_RUN_N2_TEXT.replace(line, f"{key} = abc"))
-        result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), option, "5"])
-        assert result.exit_code == 2
-        assert result.output == f"config error: [run] {key}: not an integer: 'abc'\n"
+        out_of_range = {"trials": ("0", "in 1..2**32"), "seed": ("-1", ">= 0")}[key]
+        for value, message in [("abc", f"{key}: not an integer: 'abc'"),
+                               (out_of_range[0], f"{key} must be {out_of_range[1]}, "
+                                                 f"got {out_of_range[0]}")]:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(_RUN_N2_TEXT.replace(line, f"{key} = {value}"))
+            result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                              option, "5"])
+            assert result.exit_code == 2
+            assert result.output == f"config error: [run] {message}\n"
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit,extra,source", [
         (("trials = 20", "trials = 0"), [], "[run] trials"),
@@ -612,7 +647,8 @@ class TestErrors:
         assert result.output.startswith("config error: [cavity]")
         assert result.output.count("\n") == 1
         if value == "0.0":
-            assert result.output == f"config error: [cavity] {key} must be > 0\n"
+            assert result.output == (f"config error: [cavity] {key.lower()} must be > 0, "
+                                     "got 0.0\n")
         assert not (tmp_path / "o").exists()
 
     def test_negative_detuning_exits_2(self, tmp_path):
@@ -621,7 +657,7 @@ class TestErrors:
         cfg.write_text(_RUN_N2_TEXT.replace("delta_Mrad_s = 0.1", "delta_Mrad_s = -0.1"))
         result = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
-        assert result.output == "config error: [cavity] delta_Mrad_s must be > 0\n"
+        assert result.output == "config error: [cavity] delta_mrad_s must be > 0, got -0.1\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,section", [
@@ -632,7 +668,7 @@ class TestErrors:
         cfg.write_text(_RUN_N2_TEXT.replace("[crystal]", f"[{section}]\neta_laser = -1"))
         result = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
-        assert result.output == f"config error: [{section}] eta_laser must be >= 0\n"
+        assert result.output == f"config error: [{section}] eta_laser must be >= 0, got -1\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,text,message", [
@@ -648,11 +684,15 @@ class TestErrors:
          "[sweep] delta_list_mrad_s: bad number list: '0.1,x'"),
         # the count alone would ask numpy for 72.8 TiB
         ("couplings", _CRYSTAL_N2_TEXT + "[sweep]\nkappa_grid_Mrad_s = 0:1:10000000000000\n",
-         "[sweep] kappa_grid_mrad_s: at most 10**6 values"),
-        ("couplings", _CRYSTAL_N2_TEXT + "[sweep]\nkappa_grid_Mrad_s = 0:1:1000001\n",
-         "[sweep] kappa_grid_mrad_s: at most 10**6 values"),
+         f"[sweep] kappa_grid_mrad_s: at most {config.MAX_SWEEP_POINTS} values"),
+        ("couplings", _CRYSTAL_N2_TEXT
+         + f"[sweep]\nkappa_grid_Mrad_s = 0:1:{config.MAX_SWEEP_POINTS + 1}\n",
+         f"[sweep] kappa_grid_mrad_s: at most {config.MAX_SWEEP_POINTS} values"),
+        ("couplings", _CRYSTAL_N2_TEXT
+         + "[sweep]\ndelta_list_Mrad_s = " + ",".join(["1"] * (config.MAX_SWEEP_POINTS + 1)),
+         f"[sweep] delta_list_mrad_s: at most {config.MAX_SWEEP_POINTS} values"),
     ], ids=["couplings-run", "emission-crystal", "gates-sweep", "couplings-cavity", "run-sweep",
-            "couplings-sweep-count", "couplings-sweep-count-cap"])
+            "couplings-sweep-count", "couplings-sweep-count-cap", "couplings-list-length-cap"])
     def test_malformed_value_in_an_unread_section_exits_2(self, tmp_path, command, text, message):
         # every value is converted at load, whatever the command reads
         cfg = tmp_path / "c.cfg"
@@ -678,9 +718,11 @@ class TestErrors:
          lambda cfg: config.crystal_cases(cfg)[0].traps.n_ions, config.MAX_CHAIN_IONS),
         (_SWEEP_TEXT.replace("0:1000:3", f"0:1000:{config.MAX_SWEEP_POINTS}"),
          lambda cfg: len(config.sweep_grid(cfg)[1]), config.MAX_SWEEP_POINTS),
-        ("[sweep]\nkappa_grid_Mrad_s = 0:1:1000000\n",
-         lambda cfg: len(cfg["sweep"]["kappa_grid_mrad_s"]), 10**6),
-    ], ids=["chain-ions", "sweep-points", "list-values"])
+        (f"[sweep]\nkappa_grid_Mrad_s = 0:1:{config.MAX_SWEEP_POINTS}\n",
+         lambda cfg: len(cfg["sweep"]["kappa_grid_mrad_s"]), config.MAX_SWEEP_POINTS),
+        ("[sweep]\ndelta_list_Mrad_s = " + ",".join(["1"] * config.MAX_SWEEP_POINTS),
+         lambda cfg: len(cfg["sweep"]["delta_list_mrad_s"]), config.MAX_SWEEP_POINTS),
+    ], ids=["chain-ions", "sweep-points", "list-values", "list-length"])
     def test_size_cap_is_inclusive(self, text, read, expected):
         # read only: nothing the size of the cap is solved or swept
         assert read(config.load_config(text)) == expected
@@ -690,21 +732,22 @@ class TestErrors:
          _CRYSTAL_N2_TEXT.replace("n_ions = 2", f"n_ions = {config.MAX_CHAIN_IONS + 1}"),
          f"[crystal] n_ions must be in 1..{config.MAX_CHAIN_IONS}, "
          f"got {config.MAX_CHAIN_IONS + 1}"),
+        # each list is within its own cap; only their product is not
         ("emission", _CAVITY_TEXT
-         + _SWEEP_TEXT.replace("0:1000:3", f"0:1000:{config.MAX_SWEEP_POINTS + 1}"),
+         + _SWEEP_TEXT.replace("0:1000:3", f"0:1000:{config.MAX_SWEEP_POINTS // 2 + 1}")
+         .replace("= 0.1", "= 0.1,0.2"),
          f"[sweep] delta_list_Mrad_s x kappa_grid_Mrad_s: at most {config.MAX_SWEEP_POINTS} "
-         f"points, got {config.MAX_SWEEP_POINTS + 1}"),
+         f"points, got {2 * (config.MAX_SWEEP_POINTS // 2 + 1)}"),
         ("emission", _SWEEP_TEXT.replace("= 0.1", "= 0.1,0") + _CAVITY_TEXT,
-         "[sweep] detunings must be positive"),
-        # zero passes the reader's check and meets CavitySetup's own
+         "[sweep] delta_list_mrad_s must be > 0, got 0.1,0"),
         ("run", _RUN_N2_TEXT.replace("delta_Mrad_s = 0.1", "delta_Mrad_s = 0"),
-         "[cavity] Raman channel requires nonzero detuning"),
+         "[cavity] delta_mrad_s must be > 0, got 0"),
         ("couplings", "[species]\nmass_amu = 0\n" + _CRYSTAL_N2_TEXT,
-         "[species] ion mass must be positive, got 0.0"),
+         "[species] mass_amu must be > 0, got 0"),
         ("couplings", "[species]\ng_factor = 0\n" + _CRYSTAL_N2_TEXT,
-         "[species] g factor must be positive, got 0.0"),
+         "[species] g_factor must be > 0, got 0"),
         ("couplings", _CRYSTAL_N2_TEXT.replace("5.55", "0"),
-         "[crystal] trap frequencies must be positive"),
+         "[crystal] nu_mrad_s must be > 0, got 0"),
     ], ids=["chain-ions-cap", "sweep-points-cap", "sweep-delta-zero", "cavity-delta-zero",
             "mass-zero", "g-factor-zero", "nu-zero"])
     def test_value_just_outside_its_domain_exits_2(self, tmp_path, command, text, message):
@@ -729,6 +772,42 @@ class TestErrors:
         result = run_cli([command, "--config", str(cfg), "--format", "json", "--out", str(out)])
         assert result.exit_code == 0 and result.stderr == ""
         assert read(json.loads((out / name).read_text())) == 0.0
+
+
+class TestRules:
+    """One boundary test per ruled key, generated from config.SCHEMA."""
+
+    def test_every_rule_has_its_edges(self):
+        assert {rule for *_, rule in _RULED_KEYS} <= set(_RULE_EDGES)
+
+    @pytest.mark.parametrize("section,key,value,rule", _edges(0))
+    def test_value_at_a_bound_of_its_rule_loads(self, section, key, value, rule):
+        # at the reader only: no run of 2**32 trials, no 200-ion solve
+        assert key in config.load_config(f"[{section}]\n{key} = {value}\n")[section]
+
+    @pytest.mark.parametrize("section,key,value,rule", _edges(1))
+    def test_value_just_past_a_bound_of_its_rule_exits_2(self, tmp_path, section, key, value,
+                                                          rule):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        result = run_cli(["couplings", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == f"config error: [{section}] {key} must be {rule}, got {value}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_chain_sections_may_hold_the_ion_cap_in_all(self):
+        sizes = [config.MAX_CHAIN_IONS // 4] * 4
+        cases = config.crystal_cases(config.load_config(_chain_sections(sizes)))
+        assert sum(case.traps.n_ions for case in cases) == config.MAX_CHAIN_IONS
+
+    def test_one_ion_past_the_cap_in_all_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(_chain_sections([config.MAX_CHAIN_IONS // 4] * 4 + [1]))
+        result = run_cli(["couplings", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == (f"config error: n_ions: at most {config.MAX_CHAIN_IONS} in all "
+                                 f"chain sections, got {config.MAX_CHAIN_IONS + 1}\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestGolden:
