@@ -12,7 +12,8 @@ importing numpy.random, the two steps numpy takes per trial:
 * PCG64 (O'Neill, HMC-CS-2014-0905, 2014): the ``setseq`` seeding of a
   128-bit LCG from those four words, then two steps with XSL-RR output,
   each turned into a double as ``(x >> 11) * 2**-53``
-  (``first_two_uniforms``).
+  (``first_two_uniforms``).  A caller that needs only the second draw
+  passes ``first=False``: the first step still runs, its output is skipped.
 
 Trials are lanes of uint32/uint64 arrays; the 128-bit LCG state is two
 uint64 limbs.  Spawn keys must be below 2**32 (one uint32 word).
@@ -92,36 +93,39 @@ def state_words(prefix, keys: np.ndarray) -> np.ndarray:
     pool ^= pool >> XSHIFT
     state = (np.concatenate([pool, pool]) ^ GEN_XOR) * GEN_MUL
     state ^= state >> XSHIFT
-    state = state.astype(np.uint64)
-    return state[0::2] | (state[1::2] << 32)
+    words = state[1::2].astype(np.uint64) << 32   # only half of the words widened at a time
+    words |= state[0::2]
+    return words
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
     """state * PCG_MULT + inc (mod 2**128) on (high, low) uint64 limbs."""
-    # high word of lo * MULT_LO, from 32-bit halves (MULT_LO0 is the low one)
+    # high word of lo * MULT_LO from 32-bit halves (MULT_LO0 is the low one):
+    # a1 * MULT_LO1 plus the top of x + a0 * MULT_LO1, a sum that may carry
     a0, a1 = lo & MASK32, lo >> 32
-    p00, p01, p10 = a0 * MULT_LO0, a0 * MULT_LO1, a1 * MULT_LO0
-    mid = (p00 >> 32) + (p01 & MASK32) + (p10 & MASK32)
-    lo_mult_hi = a1 * MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    x = a1 * MULT_LO0 + (a0 * MULT_LO0 >> 32)
+    mid = x + a0 * MULT_LO1
+    lo_mult_hi = a1 * MULT_LO1 + (mid >> 32) + ((mid < x).astype(np.uint64) << 32)
     new_lo = lo * MULT_LO + inc_lo
     new_hi = lo_mult_hi + lo * MULT_HI + hi * MULT_LO + inc_hi + (new_lo < inc_lo)
     return new_hi, new_lo
 
 
-def first_two_uniforms(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generator(PCG64(seed words)).random() twice, per column of ``words``."""
-    # setseq seeding: inc = (words[2]:words[3] << 1) | 1; the state steps
-    # from 0 (giving inc), adds initstate words[0]:words[1] and steps again
+def _output(hi, lo) -> np.ndarray:
+    """The XSL-RR output of a state, as a double in [0, 1)."""
+    rot, x = hi >> 58, hi ^ lo
+    return (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
+
+
+def first_two_uniforms(words: np.ndarray, first: bool = True) -> tuple:
+    """Generator(PCG64(seed words)).random() twice, per column of ``words``;
+    the first draw is None unless ``first`` (its LCG step runs either way)."""
+    # setseq seeding: inc = (words[2]:words[3] << 1) | 1; the state steps from 0
+    # (giving inc), adds initstate words[0]:words[1] and steps again; then one step per draw
     inc_hi = (words[2] << 1) | (words[3] >> 63)
     inc_lo = (words[3] << 1) | 1
     lo = inc_lo + words[1]
     hi = inc_hi + words[0] + (lo < inc_lo)
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    draws = []
-    for _ in range(2):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        rot = hi >> 58
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        draws.append((x >> 11) * 2.0**-53)
-    return draws[0], draws[1]
+    hi, lo = _lcg_step(*_lcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    u1 = _output(hi, lo) if first else None
+    return u1, _output(*_lcg_step(hi, lo, inc_hi, inc_lo))

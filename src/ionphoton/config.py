@@ -7,19 +7,20 @@ kind (``int``, ``str``, or for a number the factor to SI, so everything
 downstream works in m, kg, s and rad/s) and its rule.  ``load_config``
 checks the whole file, whatever the command reads: each number must be
 finite in SI (``kappa_Mrad_s = 1e305`` is not), and each value, or value
-of a list, must obey its rule as written.  The rules: ``> 0`` for
-``mass_amu``, ``g_factor``, every trap nu, Omega, h, delta and
-``delta_list_Mrad_s``; ``>= 0`` for ``dBdz_T_per_m``, ``eta_laser``, kappa,
-``kappa_grid_Mrad_s``, ``t0_s``, ``t1_s`` and ``seed``; ``in [0, 1]`` for
-``collection_efficiency``; ``in 1..200`` for ``n_ions``; ``in 1..2**32``
-for ``trials``; ``'e' or 'g'`` for ``cnot_active_on``; none for ``d_um``,
-``centers_um``, ``label`` and ``ref_*``.  A broken rule reads ``[section]
-key must be <rule>, got <value as written>`` (``--seed`` and ``--trials``
-keep ``[run]``'s rules).  A number list holds at most ``MAX_SWEEP_POINTS``
-values, checked before it is built, and a file's chain sections hold at
-most ``MAX_CHAIN_IONS`` ions in all.  ``[case.1]``, ``[case.2]``, ...
-sections are independent chains for table-style sweeps, with the
-``[crystal]`` keys; single-configuration commands read ``[crystal]``.
+of a list, must obey its rule as written and in SI (``mass_amu = 5e-324``
+is 0 kg).  The rules: ``> 0`` for ``mass_amu``, ``g_factor``, every trap
+nu, Omega, h, delta and ``delta_list_Mrad_s``; ``>= 0`` for ``dBdz_T_per_m``,
+``eta_laser``, kappa, ``kappa_grid_Mrad_s``, ``t0_s``, ``t1_s`` and ``seed``;
+``in [0, 1]`` for ``collection_efficiency``; ``in 1..200`` for ``n_ions``;
+``in 1..2**32`` for ``trials``; ``'e' or 'g'`` for ``cnot_active_on``; none
+for ``d_um``, ``centers_um``, ``label`` and ``ref_*``.  A broken rule reads
+``[section] key must be <rule>, got <value as written>``, a string quoted
+(``--seed`` and ``--trials`` keep ``[run]``'s rules).  A number list holds
+at most ``MAX_SWEEP_POINTS`` values, checked before it is built, and a
+file's chain sections hold at most ``MAX_CHAIN_IONS`` ions in all.
+``[case.1]``, ``[case.2]``, ... sections are independent chains for
+table-style sweeps, with the ``[crystal]`` keys; single-configuration
+commands read ``[crystal]``.
 """
 
 import configparser
@@ -36,7 +37,7 @@ from .errors import ConfigError, DomainError
 # size caps, so a few bytes of config cannot ask for unbounded work (stated in the README)
 MAX_CHAIN_IONS = 200      # per chain section, and in all chain sections of a file
 MAX_SWEEP_POINTS = 10**5  # per number list, and in the emission grid
-_RULES = {   # rule -> its test of a value as written
+_RULES = {   # rule -> its test of a value
     "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1,
     f"in 1..{MAX_CHAIN_IONS}": lambda v: 1 <= v <= MAX_CHAIN_IONS,
     "in 1..2**32": lambda v: 1 <= v <= protocol.MAX_TRIALS,
@@ -125,8 +126,9 @@ def _parse(section: str, key: str, raw: str, kind, rule):
                 else "bad number list" if key in _LISTS else "not a number")
         raise ConfigError(f"[{section}] {key}: {what}: {raw!r}") from None
     scaled = values if kind in (int, str) else _scaled(section, key, values, kind)
-    if rule is not None and not all(map(_RULES[rule], values)):   # as written: factors are > 0
-        raise ConfigError(f"[{section}] {key} must be {rule}, got {raw}")
+    if rule is not None and not all(map(_RULES[rule], values + scaled)):   # as written and in SI
+        shown = repr(raw) if kind is str else raw
+        raise ConfigError(f"[{section}] {key} must be {rule}, got {shown}")
     return scaled if key in _LISTS else scaled[0]
 
 

@@ -26,6 +26,7 @@ z angles reproduces the same |g>-active gate up to global phase and does
 NOT flip the polarity.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -63,7 +64,7 @@ def _coupling_array(coupling) -> np.ndarray:
     j = np.asarray(coupling, float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
         raise DomainError("coupling matrix must be square")
-    if not np.allclose(j, j.T):
+    if not (np.array_equal(j, j.T) or np.allclose(j, j.T)):
         raise DomainError("coupling matrix must be symmetric")
     return j
 
@@ -75,12 +76,15 @@ def _apply_site_op(amps: np.ndarray, pos: int, op: np.ndarray):
     return np.einsum("ab,ibj->iaj", op, work).reshape(amps.shape)
 
 
+@functools.lru_cache(maxsize=256)
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
-    """exp(-i angle/2 sigma_axis)."""
+    """exp(-i angle/2 sigma_axis); cached, so read-only."""
     if axis not in _SIGMA:
         raise DomainError(f"unknown axis {axis!r}")
     half = 0.5 * angle
-    return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * _SIGMA[axis]
+    rot = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * _SIGMA[axis]
+    rot.flags.writeable = False
+    return rot
 
 
 def apply_hadamard(amps: np.ndarray, ion: int) -> np.ndarray:
@@ -147,14 +151,15 @@ def _run_elements(amps: np.ndarray, seq: PulseSequence, j: np.ndarray):
     n = j.shape[0]
     z = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1)
     zz = ((z @ np.triu(j, 1)) * z).sum(1)   # sum_{i<j} J_ij z_i z_j per ion config
+    durations = {e.duration for e in seq.elements if isinstance(e, IsingDelay)}
+    phases = {t: np.exp(0.5j * t * zz)[:, None] for t in durations}   # one per distinct delay
     for e in seq.elements:
         if isinstance(e, Rotation):
             if not 0 <= e.ion < n:
                 raise DomainError(f"ion index {e.ion} out of range")
             amps = _apply_site_op(amps, e.ion, rotation_matrix(e.axis, e.angle))
         elif isinstance(e, IsingDelay):
-            phases = np.exp(0.5j * e.duration * zz)
-            amps = (amps.reshape(2**n, -1) * phases[:, None]).reshape(amps.shape)
+            amps = (amps.reshape(2**n, -1) * phases[e.duration]).reshape(amps.shape)
         else:
             amps = amps * np.exp(1j * e.angle)
     return amps
@@ -237,12 +242,16 @@ def cnot_product_matrix(active_on: str = "g") -> np.ndarray:
     return np.exp(-1j * math.pi / 4) * last @ z_c @ z_t @ zz_factor @ first
 
 
+@functools.cache
 def _walsh_rows(n_slices: int) -> np.ndarray:
-    """+-1 Hadamard rows of size n_slices (a power of two), row m with m sign changes."""
+    """+-1 Hadamard rows of size n_slices (a power of two), row m with m sign
+    changes; cached, so read-only."""
     h = np.array([[1]])
     while h.shape[0] < n_slices:
         h = np.block([[h, h], [h, -h]])
-    return h[np.argsort((np.diff(h, axis=1) != 0).sum(axis=1))]
+    rows = h[np.argsort((np.diff(h, axis=1) != 0).sum(axis=1))]
+    rows.flags.writeable = False
+    return rows
 
 
 def compile_refocused_zz(coupling, pair: tuple[int, int], target_angle: float) -> PulseSequence:

@@ -260,17 +260,24 @@ def outcome_table_json(table: protocol.OutcomeTable) -> bytes:
 
     json.dumps with ``indent`` runs Python's pure-Python encoder, one
     generator step per amplitude; here each row's 2^(N+1) floats fill one
-    %r template, with the keys in sorted order.
+    template, with the keys in sorted order.  Each distinct magnitude is
+    repr'd once, after "-" if the sign bit is set: repr(-x) is "-" + repr(x).
     """
-    pair = "        [\n          %r,\n          %r\n        ]"
+    pair = "        [\n          %s%s,\n          %s%s\n        ]"
     block = '    {\n      "amplitudes": [\n' + ",\n".join([pair] * 2**table.n_ions) + "\n      ],\n"
+    floats = np.array([row.photon_amplitudes for row in table.rows]).view(np.float64)
+    mags, where = np.unique(np.abs(floats), return_inverse=True)
+    text = np.array([repr(m) for m in mags.tolist()], dtype=object)[where.reshape(floats.shape)]
+    cells = np.stack([np.where(np.signbit(floats), "-", ""), text], -1)
+    cells = cells.reshape(len(floats), -1).tolist()
     rows = [
-        block % tuple(row.photon_amplitudes.view(np.float64).tolist())
+        block % tuple(row_cells)
         + f'      "ions": {json.dumps(row.ions)},\n'
         f'      "photon_state": {json.dumps(row.expression)},\n'
         f'      "probability": {row.probability!r}\n    }}'
-        for row in table.rows
+        for row, row_cells in zip(table.rows, cells)
     ]
+    del text, cells   # the repr strings, before the document is built in full
     return (f'{{\n  "n_ions": {table.n_ions},\n  "rows": [\n'
             + ",\n".join(rows) + "\n  ]\n}\n").encode()
 

@@ -13,6 +13,7 @@ import tempfile
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -360,7 +361,8 @@ _RUN_N2_TEXT = (
     "delta_Mrad_s = 0.1\nkappa_Mrad_s = 0.0\n[run]\ntrials = 20\nseed = 1\n"
 )
 # rule -> (values at its bounds that it accepts, values just past them), as written;
-# an int key takes only the values that int() reads
+# an int key takes only the values that int() reads, and a "> 0" key whose unit
+# factor sends 5e-324 to 0 takes the edges of _least_positive instead
 _RULE_EDGES = {
     "> 0": (["5e-324"], ["0", "-5e-324"]),
     ">= 0": (["0"], ["-5e-324", "-1"]),
@@ -368,7 +370,7 @@ _RULE_EDGES = {
     f"in 1..{config.MAX_CHAIN_IONS}": (["1", str(config.MAX_CHAIN_IONS)],
                                        ["0", str(config.MAX_CHAIN_IONS + 1)]),
     "in 1..2**32": (["1", str(2**32)], ["0", str(2**32 + 1)]),
-    "'e' or 'g'": (["e", "g"], ["E", "eg"]),
+    "'e' or 'g'": (["e", "g"], ["E", "eg", ""]),
 }
 # every key that SCHEMA gives a rule, and the keys it matches by pattern or section
 _RULED_KEYS = [(section, key, kind, rule) for section, keys in config.SCHEMA.items()
@@ -377,11 +379,31 @@ _RULED_KEYS += [("crystal", "nu_2_mrad_s", config.SCHEMA["crystal"]["nu_mrad_s"]
                 ("case.1", "n_ions", int, f"in 1..{config.MAX_CHAIN_IONS}")]
 
 
+def _least_positive(factor: float) -> float:
+    """The least float x with x * factor > 0, by bisection on the bits of x
+    (positive floats sort as their bits do)."""
+    def as_float(bits):
+        return float(np.int64(bits).view(np.float64))
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))   # the bits of 0.0 and 1.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if as_float(mid) * factor > 0 else (mid, hi)
+    return as_float(hi)
+
+
+def _rule_edges(kind, rule) -> tuple[list, list]:
+    accept, reject = _RULE_EDGES.get(rule, ([], []))
+    if rule == "> 0" and kind * 5e-324 == 0:   # 5e-324 as written is 0 in SI
+        least = _least_positive(kind)
+        accept, reject = [repr(least)], reject + ["5e-324", repr(math.nextafter(least, 0))]
+    return accept, reject
+
+
 def _edges(side: int) -> list:
-    """pytest params (section, key, value, rule), one per edge value on ``side``."""
-    return [pytest.param(section, key, value, rule, id=f"{section}-{key}-{value}")
+    """pytest params (section, key, value, rule, kind), one per edge value on ``side``."""
+    return [pytest.param(section, key, value, rule, kind, id=f"{section}-{key}-{value}")
             for section, key, kind, rule in _RULED_KEYS
-            for value in _RULE_EDGES.get(rule, ([], []))[side]
+            for value in _rule_edges(kind, rule)[side]
             if kind is not int or re.fullmatch(r"-?[0-9]+", value)]
 
 
@@ -780,19 +802,24 @@ class TestRules:
     def test_every_rule_has_its_edges(self):
         assert {rule for *_, rule in _RULED_KEYS} <= set(_RULE_EDGES)
 
-    @pytest.mark.parametrize("section,key,value,rule", _edges(0))
-    def test_value_at_a_bound_of_its_rule_loads(self, section, key, value, rule):
+    def test_a_unit_factor_moves_the_least_positive_value(self):
+        least = _least_positive(config.SCHEMA["species"]["mass_amu"][0])
+        assert 5e-324 < least < 1e-296 and _least_positive(1e6) == 5e-324
+
+    @pytest.mark.parametrize("section,key,value,rule,kind", _edges(0))
+    def test_value_at_a_bound_of_its_rule_loads(self, section, key, value, rule, kind):
         # at the reader only: no run of 2**32 trials, no 200-ion solve
         assert key in config.load_config(f"[{section}]\n{key} = {value}\n")[section]
 
-    @pytest.mark.parametrize("section,key,value,rule", _edges(1))
+    @pytest.mark.parametrize("section,key,value,rule,kind", _edges(1))
     def test_value_just_past_a_bound_of_its_rule_exits_2(self, tmp_path, section, key, value,
-                                                          rule):
+                                                          rule, kind):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
         result = run_cli(["couplings", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
-        assert result.output == f"config error: [{section}] {key} must be {rule}, got {value}\n"
+        shown = repr(value) if kind is str else value
+        assert result.output == f"config error: [{section}] {key} must be {rule}, got {shown}\n"
         assert not (tmp_path / "o").exists()
 
     def test_chain_sections_may_hold_the_ion_cap_in_all(self):

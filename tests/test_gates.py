@@ -376,6 +376,30 @@ class TestSequencePlumbing:
         with pytest.raises(DomainError):
             gates.gate_fidelity(np.eye(2), np.eye(4))
 
+    def test_cached_constants_are_read_only(self):
+        j = random_coupling(4, 8)
+        seq = gates.PulseSequence(tuple(
+            e for cnot in gates.cnots_from_first(j) for e in cnot.elements))
+        for cached in (gates.rotation_matrix("x", math.pi), gates._walsh_rows(4)):
+            with pytest.raises(ValueError):
+                cached[0, 0] = 7
+        u = gates.sequence_unitary(seq, j)
+        gates.rotation_matrix.cache_clear()
+        gates._walsh_rows.cache_clear()
+        fresh = gates.PulseSequence(tuple(
+            e for cnot in gates.cnots_from_first(j) for e in cnot.elements))
+        assert fresh == seq
+        assert gates.sequence_unitary(fresh, j).tobytes() == u.tobytes()
+
+    def test_coupling_matrix_symmetric_to_roundoff(self):
+        j = random_coupling(3, 5)
+        j[0, 1] *= 1 + 1e-12
+        delay = gates.PulseSequence((gates.IsingDelay(1e-3),))
+        assert gates.sequence_unitary(delay, j).shape == (8, 8)
+        j[0, 1] *= 1.1
+        with pytest.raises(DomainError, match="symmetric"):
+            gates.sequence_unitary(gates.PulseSequence(()), j)
+
     def test_unitarity_of_sequence_matrix(self):
         j = random_coupling(3, 21)
         seq = gates.cnot_sequence(j, 0, 1)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from ionphoton import cavity, crystal, gates, protocol, reports
@@ -149,6 +151,28 @@ class TestOutcomeTable:
         assert np.max(np.abs(gram - np.eye(8))) < 1e-10
 
 
+def assert_counts_match_the_oracle(cfg, trials):
+    """sample_run's counts and failed emissions equal the trial-by-trial loop's."""
+    report = protocol.sample_run(cfg, trials)
+    cum = np.cumsum([row.probability for row in report.table.rows])
+    cum[-1] = max(cum[-1], 1.0)
+    counts, failed = oracles.sampled_counts(cfg.seed, trials, report.p_total, cum)
+    assert report.failed_emissions == failed
+    assert list(report.counts.values()) == counts.tolist()
+    return report
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    trials=st.integers(1, 3 * protocol.TRIAL_CHUNK),
+    p_total=st.sampled_from([0.0, 0.37, 1.0]),
+)
+def test_sampled_counts_match_a_trial_by_trial_loop(seed, trials, p_total):
+    cfg = make_config(2, seed=seed, collection_efficiency=math.sqrt(p_total))
+    assert_counts_match_the_oracle(cfg, trials)
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         cfg = make_config(2, seed=42)
@@ -201,14 +225,18 @@ class TestSampling:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_counts_match_a_trial_by_trial_loop(self, offset):
         # around one sampler block, with failed emissions in the mix
-        trials = protocol.TRIAL_CHUNK + offset
         cfg = make_config(3, setup=lossy_cavity(), seed=2**64 + 5)
-        report = protocol.sample_run(cfg, trials)
-        cum = np.cumsum([row.probability for row in report.table.rows])
-        cum[-1] = max(cum[-1], 1.0)
-        counts, failed = oracles.sampled_counts(cfg.seed, trials, report.p_total, cum)
-        assert 0 < report.failed_emissions == failed
-        assert list(report.counts.values()) == counts.tolist()
+        report = assert_counts_match_the_oracle(cfg, protocol.TRIAL_CHUNK + offset)
+        assert 0 < report.failed_emissions < report.trials
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.0])
+    def test_sure_and_impossible_emission_match_a_trial_by_trial_loop(self, efficiency, offset):
+        # p_total 1 skips the first draw; p_total 0 keeps no second draw
+        cfg = make_config(2, seed=2**64 + 2**40 + 9, collection_efficiency=efficiency)
+        report = assert_counts_match_the_oracle(cfg, protocol.TRIAL_CHUNK + offset)
+        assert report.p_total == efficiency
+        assert report.n_success == (report.trials if efficiency else 0)
 
     def test_trial_count_is_capped(self):
         cfg = make_config(2)
@@ -216,6 +244,23 @@ class TestSampling:
             protocol.sample_run(cfg, protocol.MAX_TRIALS + 1)
         with pytest.raises(DomainError, match="trials"):
             protocol.sample_run(cfg, 0)
+
+    def test_trial_cap_is_inclusive(self, monkeypatch):
+        # a run of MAX_TRIALS trials is allowed; at 2**32 it is too slow to run here
+        monkeypatch.setattr(protocol, "MAX_TRIALS", 10)
+        assert protocol.sample_run(make_config(2), 10).trials == 10
+        with pytest.raises(DomainError, match="trials"):
+            protocol.sample_run(make_config(2), 11)
+
+    @pytest.mark.parametrize("efficiency,first", [(1.0, False), (0.999, True)])
+    def test_first_draw_is_skipped_only_when_emission_cannot_fail(self, monkeypatch,
+                                                                  efficiency, first):
+        calls = []
+        draw = protocol._substream.first_two_uniforms
+        monkeypatch.setattr(protocol._substream, "first_two_uniforms",
+                            lambda words, first: calls.append(first) or draw(words, first))
+        protocol.sample_run(make_config(2, collection_efficiency=efficiency), 100)
+        assert calls == [first]
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed"):
@@ -386,4 +431,17 @@ def test_writer_matches_json_dumps_on_edge_values():
     table = protocol.OutcomeTable(n_ions=2, rows=rows)
     expected = reports.json_bytes(oracles.outcome_table_doc(table))
     assert b"1e+16" in expected and b"5e-324" in expected and b"-0.0" in expected
+    assert reports.outcome_table_json(table) == expected
+
+    # magnitudes repeated with both signs, ±0.0 and subnormals in one row
+    signed = protocol.OutcomeRow(
+        ions="gg",
+        photon_amplitudes=np.array([complex(0.0, -0.0), complex(-0.0, 0.0),
+                                    complex(5e-324, -5e-324), complex(-2.5e-310, 2.5e-310)]),
+        expression="0",
+        probability=5e-324,
+    )
+    table = protocol.OutcomeTable(n_ions=2, rows=(signed, *rows))
+    expected = reports.json_bytes(oracles.outcome_table_doc(table))
+    assert b"-5e-324" in expected and b"-2.5e-310" in expected and b"-0.0" in expected
     assert reports.outcome_table_json(table) == expected

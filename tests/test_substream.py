@@ -72,9 +72,12 @@ def test_pcg64_draws_match_numpy(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lanes_follow_the_substream_rule(seed):
-    u1, u2 = _substream.first_two_uniforms(lane_words(seed, KEYS))
+    words = lane_words(seed, KEYS)
+    u1, u2 = _substream.first_two_uniforms(words)
     expected = oracle_draws(seed, KEYS)
     assert np.array_equal(u1, expected[0]) and np.array_equal(u2, expected[1])
+    skipped, second = _substream.first_two_uniforms(words, first=False)
+    assert skipped is None and np.array_equal(second, expected[1])
 
 
 def test_hundred_thousand_trials_at_a_multiword_seed():
@@ -84,6 +87,32 @@ def test_hundred_thousand_trials_at_a_multiword_seed():
     expected = oracle_draws(seed, range(len(keys)))
     bad = np.flatnonzero((u1 != expected[0]) | (u2 != expected[1]))
     assert bad.size == 0, f"trial {bad[0]} differs from the substream rule"
+
+
+def pcg64_from_words(words) -> np.ndarray:
+    """Rows u1, u2 from numpy's PCG64 set to the state that setseq seeding
+    makes of each column of ``words``."""
+    draws = []
+    for w in np.asarray(words).T.tolist():
+        inc = ((w[2] << 64 | w[3]) << 1 | 1) % 2**128
+        state = ((inc + (w[0] << 64 | w[1])) * _substream.PCG_MULT + inc) % 2**128
+        bits = np.random.PCG64()
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        draws.append(np.random.Generator(bits).random(2))
+    return np.array(draws).T
+
+
+def test_carries_where_a_low_limb_is_zero():
+    # each carry test (a < b) reads differently from a <= b only at such a limb
+    words = np.random.default_rng(4).integers(0, 2**64, size=(4, 4), dtype=np.uint64)
+    inc_lo = ((words[3] << 1) | 1).tolist()
+    words[1, 0] = 0                               # seeding: inc_lo + words[1] == inc_lo
+    words[1, 1] = -inc_lo[1] % 2**64              # the first step from a low limb of 0
+    words[1, 2] = (2**32 - inc_lo[2]) % 2**64     # ... from a low limb of 2**32
+    u1, u2 = _substream.first_two_uniforms(words)
+    expected = pcg64_from_words(words)
+    assert np.array_equal(u1, expected[0]) and np.array_equal(u2, expected[1])
 
 
 @settings(max_examples=40, deadline=None)
