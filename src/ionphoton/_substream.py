@@ -12,8 +12,7 @@ importing numpy.random, the two steps numpy takes per trial:
 * PCG64 (O'Neill, HMC-CS-2014-0905, 2014): the ``setseq`` seeding of a
   128-bit LCG from those four words, then two steps with XSL-RR output,
   each turned into a double as ``(x >> 11) * 2**-53``
-  (``first_two_uniforms``).  A caller that needs only the second draw
-  passes ``first=False``: the first step still runs, its output is skipped.
+  (``first_two_uniforms``).
 
 Trials are lanes of uint32/uint64 arrays; the 128-bit LCG state is two
 uint64 limbs.  Spawn keys must be below 2**32 (one uint32 word).
@@ -117,9 +116,8 @@ def _output(hi, lo) -> np.ndarray:
     return (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
 
 
-def first_two_uniforms(words: np.ndarray, first: bool = True) -> tuple:
-    """Generator(PCG64(seed words)).random() twice, per column of ``words``;
-    the first draw is None unless ``first`` (its LCG step runs either way)."""
+def first_two_uniforms(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generator(PCG64(seed words)).random() twice, per column of ``words``."""
     # setseq seeding: inc = (words[2]:words[3] << 1) | 1; the state steps from 0
     # (giving inc), adds initstate words[0]:words[1] and steps again; then one step per draw
     inc_hi = (words[2] << 1) | (words[3] >> 63)
@@ -127,5 +125,4 @@ def first_two_uniforms(words: np.ndarray, first: bool = True) -> tuple:
     lo = inc_lo + words[1]
     hi = inc_hi + words[0] + (lo < inc_lo)
     hi, lo = _lcg_step(*_lcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
-    u1 = _output(hi, lo) if first else None
-    return u1, _output(*_lcg_step(hi, lo, inc_hi, inc_lo))
+    return _output(hi, lo), _output(*_lcg_step(hi, lo, inc_hi, inc_lo))

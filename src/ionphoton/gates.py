@@ -76,15 +76,12 @@ def _apply_site_op(amps: np.ndarray, pos: int, op: np.ndarray):
     return np.einsum("ab,ibj->iaj", op, work).reshape(amps.shape)
 
 
-@functools.lru_cache(maxsize=256)
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
-    """exp(-i angle/2 sigma_axis); cached, so read-only."""
+    """exp(-i angle/2 sigma_axis)."""
     if axis not in _SIGMA:
         raise DomainError(f"unknown axis {axis!r}")
     half = 0.5 * angle
-    rot = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * _SIGMA[axis]
-    rot.flags.writeable = False
-    return rot
+    return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * _SIGMA[axis]
 
 
 def apply_hadamard(amps: np.ndarray, ion: int) -> np.ndarray:
@@ -153,11 +150,13 @@ def _run_elements(amps: np.ndarray, seq: PulseSequence, j: np.ndarray):
     zz = ((z @ np.triu(j, 1)) * z).sum(1)   # sum_{i<j} J_ij z_i z_j per ion config
     durations = {e.duration for e in seq.elements if isinstance(e, IsingDelay)}
     phases = {t: np.exp(0.5j * t * zz)[:, None] for t in durations}   # one per distinct delay
+    turns = {(e.axis, e.angle) for e in seq.elements if isinstance(e, Rotation)}
+    rots = {turn: rotation_matrix(*turn) for turn in turns}   # one per distinct rotation
     for e in seq.elements:
         if isinstance(e, Rotation):
             if not 0 <= e.ion < n:
                 raise DomainError(f"ion index {e.ion} out of range")
-            amps = _apply_site_op(amps, e.ion, rotation_matrix(e.axis, e.angle))
+            amps = _apply_site_op(amps, e.ion, rots[e.axis, e.angle])
         elif isinstance(e, IsingDelay):
             amps = (amps.reshape(2**n, -1) * phases[e.duration]).reshape(amps.shape)
         else:

@@ -232,11 +232,21 @@ class TestSampling:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("efficiency", [1.0, 0.0])
     def test_sure_and_impossible_emission_match_a_trial_by_trial_loop(self, efficiency, offset):
-        # p_total 1 skips the first draw; p_total 0 keeps no second draw
+        # p_total 1 keeps every second draw, p_total 0 none
         cfg = make_config(2, seed=2**64 + 2**40 + 9, collection_efficiency=efficiency)
         report = assert_counts_match_the_oracle(cfg, protocol.TRIAL_CHUNK + offset)
         assert report.p_total == efficiency
         assert report.n_success == (report.trials if efficiency else 0)
+
+    def test_first_draw_equal_to_p_total_fails_emission(self):
+        # the rule is u1 < p_total; p_total = efficiency**2 is set to one trial's u1
+        seed = 2**64 + 17
+        u1 = [oracles.trial_rng(seed, k).random() for k in range(64)]
+        k, eff = next((k, math.sqrt(u)) for k, u in enumerate(u1)
+                      if math.sqrt(u) * math.sqrt(u) == u)
+        cfg = make_config(2, seed=seed, collection_efficiency=eff)
+        report = assert_counts_match_the_oracle(cfg, k + 1)
+        assert report.p_total == u1[k]
 
     def test_trial_count_is_capped(self):
         cfg = make_config(2)
@@ -251,16 +261,6 @@ class TestSampling:
         assert protocol.sample_run(make_config(2), 10).trials == 10
         with pytest.raises(DomainError, match="trials"):
             protocol.sample_run(make_config(2), 11)
-
-    @pytest.mark.parametrize("efficiency,first", [(1.0, False), (0.999, True)])
-    def test_first_draw_is_skipped_only_when_emission_cannot_fail(self, monkeypatch,
-                                                                  efficiency, first):
-        calls = []
-        draw = protocol._substream.first_two_uniforms
-        monkeypatch.setattr(protocol._substream, "first_two_uniforms",
-                            lambda words, first: calls.append(first) or draw(words, first))
-        protocol.sample_run(make_config(2, collection_efficiency=efficiency), 100)
-        assert calls == [first]
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed"):
